@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="degrees for every admissible (d, a, b) with d <= N",
         description="Rows cover a >= 2, b >= 2, a | d, b | d with gcd(d/a, d/b) in {1, 2}, "
         "deduplicated under (a, b) <-> (b, a) since the count is symmetric; "
-        "TVCOUNT_THREADS caps parallel evaluation (0 or unset = automatic).",
+        "TVCOUNT_THREADS=N evaluates rows in N worker processes (unset, 0 or 1 = serial).",
     )
     p_table.add_argument("--max-d", type=int, required=True, dest="max_d")
     p_table.add_argument("--csv", action="store_true", help="emit CSV (d,a,b,m,n,gcd,degree)")
@@ -243,8 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_form_values(argv: list[str]) -> list[str]:
+    """Join each --f/--g to the value after it ("--f -1,2" becomes
+    "--f=-1,2"): argparse reads a separate value that starts with a minus
+    sign as an option and fails with "expected one argument"."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--f", "--g") and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = _attach_form_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

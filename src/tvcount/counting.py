@@ -58,6 +58,8 @@ def integrate_chern_polynomial(
     ``terms`` lists (coeff, e1, e2) monomials coeff * s1^e1 * s2^e2, where s1
     has degree 1 and s2 degree 2; every term must satisfy e1 + 2*e2 == m + n.
     The si are substituted by the alpha classes and the product is integrated.
+    Terms are gathered per e2 and summed by Horner's rule in (s1^2, s2), so
+    every step multiplies by a class of a few terms.
     """
     term_list = [(int(c), int(e1), int(e2)) for c, e1, e2 in terms]
     deg = problem.m + problem.n
@@ -66,14 +68,19 @@ def integrate_chern_polynomial(
             raise ValueError(
                 f"Chern polynomial must have degree m+n = {deg}: term (coeff={c}, e1={e1}, e2={e2})"
             )
+    coeffs = [0] * (deg // 2 + 1)
+    for c, _, e2 in term_list:
+        coeffs[e2] += c
     alpha1, alpha2 = alpha_classes(problem)
-    spec = alpha1.spec
-    acc = spec.zero()
-    for c, e1, e2 in term_list:
-        if c:
-            acc = acc + c * (alpha1 ** e1 * alpha2 ** e2)
-    if acc.is_zero:
-        return 0
+    alpha1_sq = alpha1 * alpha1
+    # acc = sum_(i <= j) coeffs[i] * alpha1^(2(j-i)) * alpha2^i after step j
+    acc = alpha1.spec.zero()
+    alpha2_pow = alpha1.spec.one()
+    for c in coeffs:
+        acc = acc * alpha1_sq + c * alpha2_pow
+        alpha2_pow = alpha2_pow * alpha2
+    if deg % 2:
+        acc = acc * alpha1
     return (acc * beta_pushforward(problem.m, problem.n)).integrate()
 
 

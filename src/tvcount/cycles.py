@@ -98,8 +98,9 @@ def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:
     transvectant map, pushed to P^m x P^n x P^(m+n-2).
 
     gcd(m, n) == 1:  sum_{i=0}^{m+n-2} (z1+z2)^i * z3^(m+n-2-i), which equals
-    the series form [(1+z1+z2)^(m+n-1) / (1+z1+z2-z3)]_(m+n-2); both are
-    computed and cross-checked on every call.
+    the series form [(1+z1+z2)^(m+n-1) / (1+z1+z2-z3)]_(m+n-2).  Its
+    coefficient at z1^P z2^Q z3^(m+n-2-P-Q) is C(P+Q, P) for every P <= m,
+    Q <= n, P+Q <= m+n-2, and the terms are written down directly.
 
     gcd(m, n) == 2:  the same base class minus the excess contribution
     2^(m-2) * ((m/2)^2 z1^(m-2) z2^n + (m/2)(n/2) z1^(m-1) z2^(n-1)
@@ -118,31 +119,26 @@ def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:
     if g > 2:
         raise ValueError(f"unsupported gcd(m, n) = {g}; only 1 and 2 are supported")
 
-    spec = ambient_spec(m, n)
-    z1, z2, z3 = spec.variables()
-    s = z1 + z2
     top = m + n - 2
-
-    total = spec.zero()
-    s_pow = spec.one()
-    for i in range(top + 1):
-        total = total + s_pow * z3 ** (top - i)
-        s_pow = s_pow * s
-
-    series = geometric_inverse(s - z3, up_to_degree=top)
-    quotient_form = ((1 + s) ** (m + n - 1) * series).homogeneous_part(top)
-    assert quotient_form == total, "series and explicit-sum forms disagree"
-
+    terms = {
+        (p, q, top - p - q): math.comb(p + q, p)
+        for p in range(m + 1)
+        for q in range(min(n, top - p) + 1)
+    }
     if g == 2:
         e = 2 ** (m - 2)
         half_m, half_n = m // 2, n // 2
-        correction = (
-            spec.monomial((m - 2, n, 0), e * half_m * half_m)
-            + spec.monomial((m - 1, n - 1, 0), e * half_m * half_n)
-            + spec.monomial((m, n - 2, 0), e * half_n * half_n)
-        )
-        total = total - correction
-    return total
+        for exps, excess in (
+            ((m - 2, n, 0), e * half_m * half_m),
+            ((m - 1, n - 1, 0), e * half_m * half_n),
+            ((m, n - 2, 0), e * half_n * half_n),
+        ):
+            left = terms[exps] - excess
+            if left:
+                terms[exps] = left
+            else:
+                del terms[exps]
+    return TruncatedPolynomial._from_clean(ambient_spec(m, n), terms)
 
 
 def alpha_classes(problem: PowerSumProblem) -> tuple[TruncatedPolynomial, TruncatedPolynomial]:
@@ -156,31 +152,25 @@ def alpha_classes(problem: PowerSumProblem) -> tuple[TruncatedPolynomial, Trunca
     return alpha1, alpha2
 
 
+def segre_class(alpha1: TruncatedPolynomial, alpha2: TruncatedPolynomial, degree: int) -> TruncatedPolynomial:
+    """Degree-``degree`` part of 1 / (1 + alpha1 + alpha2), for alpha1
+    homogeneous of degree 1 and alpha2 of degree 2.
+
+    The parts h_k obey h_k = -alpha1*h_(k-1) - alpha2*h_(k-2) with h_0 = 1
+    and h_1 = -alpha1, so each step multiplies by a class of a few terms.
+    """
+    spec = alpha1.spec
+    neg1, neg2 = -alpha1, -alpha2
+    prev, cur = spec.zero(), spec.one()
+    for _ in range(int(degree)):
+        prev, cur = cur, neg1 * cur + neg2 * prev
+    return cur
+
+
 def gamma_class(problem: PowerSumProblem) -> TruncatedPolynomial:
     """Degree-(m+n) part of the inverted total Chern series
-    sum_i (-alpha1 - alpha2)^i.
-
-    Computed both as a homogeneous part of the geometric series and as the
-    multinomial sum over i + 2j = m+n of (-1)^(i+j) C(i+j, i) alpha1^i alpha2^j;
-    the two are cross-checked on every call.
+    sum_i (-alpha1 - alpha2)^i, which also equals the multinomial sum over
+    i + 2j = m+n of (-1)^(i+j) C(i+j, i) alpha1^i alpha2^j.
     """
     alpha1, alpha2 = alpha_classes(problem)
-    spec = alpha1.spec
-    deg = problem.m + problem.n
-
-    from_series = geometric_inverse(alpha1 + alpha2, up_to_degree=deg).homogeneous_part(deg)
-
-    a1_pows = [spec.one()]
-    for _ in range(deg):
-        a1_pows.append(a1_pows[-1] * alpha1)
-    a2_pows = [spec.one()]
-    for _ in range(deg // 2):
-        a2_pows.append(a2_pows[-1] * alpha2)
-
-    from_sum = spec.zero()
-    for j in range(deg // 2 + 1):
-        i = deg - 2 * j
-        coeff = (-1) ** (i + j) * math.comb(i + j, i)
-        from_sum = from_sum + coeff * (a1_pows[i] * a2_pows[j])
-    assert from_series == from_sum, "series and multinomial forms disagree"
-    return from_series
+    return segre_class(alpha1, alpha2, problem.m + problem.n)

@@ -195,6 +195,18 @@ class TruncatedPolynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        top = self.spec.top_degree
+        if a and sum(next(iter(a))) + sum(next(iter(b))) == top and _is_homogeneous(a) and _is_homogeneous(b):
+            # homogeneous factors of complementary degree: within the caps the
+            # product can only land on the top monomial, so pair each term of
+            # the smaller factor with its complement in the other
+            get = b.get
+            total = 0
+            for ea, ca in a.items():
+                cb = get(tuple(cap - u for cap, u in zip(caps, ea)))
+                if cb is not None:
+                    total += ca * cb
+            return TruncatedPolynomial._from_clean(self.spec, {caps: total} if total else {})
         out: dict[tuple[int, ...], int] = {}
         get = out.get
         for ea, ca in a.items():
@@ -289,6 +301,11 @@ class TruncatedPolynomial:
         spec = RingSpec(tuple(payload["caps"]))
         terms = {tuple(t["exp"]): int(t["coeff"]) for t in payload["terms"]}
         return cls(spec, terms)
+
+
+def _is_homogeneous(terms: Mapping[tuple[int, ...], int]) -> bool:
+    """True when every exponent vector in ``terms`` has the same total degree."""
+    return len({sum(e) for e in terms}) <= 1
 
 
 def geometric_inverse(u: TruncatedPolynomial, up_to_degree: int | None = None) -> TruncatedPolynomial:

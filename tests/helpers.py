@@ -1,5 +1,8 @@
 """Shared test utilities: random exact-rational forms, admissible problem
-enumeration, and structural-coefficient extraction for the transvectant."""
+enumeration, structural-coefficient extraction for the transvectant, and the
+ring route for the gamma and beta classes: the geometric-series, multinomial
+and explicit-sum forms, built with generic ring arithmetic instead of the
+count's recurrence and closed form."""
 
 from __future__ import annotations
 
@@ -7,7 +10,8 @@ import math
 import random
 from fractions import Fraction
 
-from tvcount import BinaryForm, transvectant, validate
+from tvcount import BinaryForm, alpha_classes, geometric_inverse, transvectant, validate
+from tvcount.cycles import ambient_spec
 
 
 def rand_fraction(rng: random.Random, zero_ok: bool = True) -> Fraction:
@@ -60,3 +64,72 @@ def structural_support(m: int, n: int, i: int, j: int) -> set[int]:
     """Plain-basis indices k where the basis pair (i, j) contributes to t_k."""
     t = transvectant(basis_form(m, i), basis_form(n, j))
     return {k for k, c in enumerate(t.coeffs) if c != 0}
+
+
+# -- ring route for the count's classes ---------------------------------------------
+
+
+def series_gamma(problem):
+    """gamma as the degree-(m+n) part of geometric_inverse(alpha1 + alpha2)."""
+    a1, a2 = alpha_classes(problem)
+    deg = problem.m + problem.n
+    return geometric_inverse(a1 + a2, up_to_degree=deg).homogeneous_part(deg)
+
+
+def multinomial_gamma(problem):
+    """gamma as the sum over i + 2j = m+n of (-1)^(i+j) C(i+j, i) alpha1^i alpha2^j."""
+    a1, a2 = alpha_classes(problem)
+    deg = problem.m + problem.n
+    total = a1.spec.zero()
+    for j in range(deg // 2 + 1):
+        i = deg - 2 * j
+        total = total + ((-1) ** (i + j) * math.comb(i + j, i)) * (a1 ** i * a2 ** j)
+    return total
+
+
+def explicit_beta_base(m: int, n: int):
+    """The gcd-1 form of beta: sum_i (z1+z2)^i z3^(m+n-2-i) in the ring."""
+    spec = ambient_spec(m, n)
+    z1, z2, z3 = spec.variables()
+    top = m + n - 2
+    total = spec.zero()
+    for i in range(top + 1):
+        total = total + (z1 + z2) ** i * z3 ** (top - i)
+    return total
+
+
+def series_beta_base(m: int, n: int):
+    """The series form [(1+z1+z2)^(m+n-1) / (1+z1+z2-z3)]_(m+n-2)."""
+    spec = ambient_spec(m, n)
+    z1, z2, z3 = spec.variables()
+    s = z1 + z2
+    top = m + n - 2
+    return ((1 + s) ** (m + n - 1) * geometric_inverse(s - z3, up_to_degree=top)).homogeneous_part(top)
+
+
+def excess_correction(m: int, n: int):
+    """The gcd-2 excess class 2^(m-2) ((m/2)^2 z1^(m-2) z2^n
+    + (m/2)(n/2) z1^(m-1) z2^(n-1) + (n/2)^2 z1^m z2^(n-2)); zero for gcd 1."""
+    spec = ambient_spec(m, n)
+    if math.gcd(m, n) != 2:
+        return spec.zero()
+    z1, z2, _ = spec.variables()
+    hm, hn = m // 2, n // 2
+    return 2 ** (m - 2) * (
+        hm * hm * z1 ** (m - 2) * z2 ** n
+        + hm * hn * z1 ** (m - 1) * z2 ** (n - 1)
+        + hn * hn * z1 ** m * z2 ** (n - 2)
+    )
+
+
+def ring_route_count(problem) -> int:
+    """The count by the ring route: series gamma times the explicit beta, the
+    product taken by the general multiplication loop.  Adding a class w that
+    leaves the top coefficient alone makes the second factor inhomogeneous,
+    which keeps the product off the top-degree pairing path."""
+    m, n = problem.m, problem.n
+    beta = explicit_beta_base(m, n) - excess_correction(m, n)
+    spec = beta.spec
+    # gamma * w has degree m+n+deg(w), never the top degree 2(m+n)-2
+    w = spec.variable(0) if m + n == 2 else spec.one()
+    return (series_gamma(problem) * (beta + w)).integrate()

@@ -26,22 +26,30 @@ from fractions import Fraction
 from tvcount import (
     WeightPair,
     admissible_tuples,
-    alpha_classes,
     beta_pushforward,
     blowup_class_S,
     degree_of_power_sum_locus,
     fixed_point_weights,
-    geometric_inverse,
+    gamma_class,
     mul_form,
     pow_form,
     transvectant,
     validate,
 )
-from tvcount.cycles import ambient_spec
 from tvcount.cli import main
 from tvcount.ring import RingSpec
 
-from .helpers import all_admissible, rand_form, structural_coefficient, structural_support
+from .helpers import (
+    all_admissible,
+    excess_correction,
+    explicit_beta_base,
+    multinomial_gamma,
+    rand_form,
+    series_beta_base,
+    series_gamma,
+    structural_coefficient,
+    structural_support,
+)
 
 PUBLISHED = ((2, 3, 3, 2, 40), (4, 6, 3, 2, 3762), (3, 5, 5, 3, 29822), (4, 10, 5, 2, 626327))
 
@@ -74,7 +82,7 @@ def test_criterion_1_published_counts():
 
 
 def test_criterion_2_cross_formula_identities():
-    with report(2, "series-quotient and closed-sum formulas agree exactly"):
+    with report(2, "series-quotient, closed-sum and kernel formulas agree exactly"):
         # blow-up class vs closed sum, r <= 20
         for r in range(1, 21):
             spec = RingSpec((r - 1, r - 1))
@@ -84,34 +92,21 @@ def test_criterion_2_cross_formula_identities():
                 closed = closed + lam ** (r - 1 - k) * zeta ** k
             assert blowup_class_S(r) == closed, f"r={r}"
 
-        # gcd-1 pushforward: series form vs explicit sum, all m+n <= 24
+        # pushforward, all m+n <= 24: the series and explicit-sum forms of the
+        # base class agree, and beta_pushforward equals the explicit sum minus
+        # the gcd-2 excess correction (zero for gcd 1)
         for m in range(1, 13):
             for n in range(m, 25 - m):
-                if math.gcd(m, n) != 1:
+                if math.gcd(m, n) > 2:
                     continue
-                spec = ambient_spec(m, n)
-                z1, z2, z3 = spec.variables()
-                s = z1 + z2
-                top = m + n - 2
-                explicit = spec.zero()
-                for i in range(top + 1):
-                    explicit = explicit + s ** i * z3 ** (top - i)
-                series = (
-                    (1 + s) ** (m + n - 1) * geometric_inverse(s - z3, up_to_degree=top)
-                ).homogeneous_part(top)
-                assert series == explicit == beta_pushforward(m, n), f"(m,n)=({m},{n})"
+                explicit = explicit_beta_base(m, n)
+                assert series_beta_base(m, n) == explicit, f"(m,n)=({m},{n})"
+                assert beta_pushforward(m, n) == explicit - excess_correction(m, n), f"(m,n)=({m},{n})"
 
-        # gamma: geometric-series form vs multinomial form, all admissible d <= 24
+        # gamma: recurrence vs geometric-series form vs multinomial form,
+        # all admissible d <= 24
         for problem in all_admissible(24):
-            a1, a2 = alpha_classes(problem)
-            deg = problem.m + problem.n
-            series = geometric_inverse(a1 + a2, up_to_degree=deg).homogeneous_part(deg)
-            multinomial = a1.spec.zero()
-            for j in range(deg // 2 + 1):
-                i = deg - 2 * j
-                coeff = (-1) ** (i + j) * math.comb(i + j, i)
-                multinomial = multinomial + coeff * (a1 ** i * a2 ** j)
-            assert series == multinomial, problem
+            assert gamma_class(problem) == series_gamma(problem) == multinomial_gamma(problem), problem
 
 
 def test_criterion_3_transvectant_property_suite():

@@ -151,6 +151,22 @@ def test_transvect_json(capsys):
     assert json.dumps(envelope, sort_keys=True) == out.strip()
 
 
+def test_transvect_negative_leading_coefficient(capsys):
+    # a value after --f/--g that starts with a minus sign is a value, not an option
+    code, out, _ = run_cli(capsys, "transvect", "--f", "-1,2", "--g", "1,1")
+    assert (code, out.strip()) == (0, "-3")
+    assert run_cli(capsys, "transvect", "--f=-1,2", "--g", "1,1")[:2] == (0, "-3\n")
+
+    code, out, _ = run_cli(capsys, "transvect", "--g", "-1/2,0", "--f", "-1,0,0", "--json")
+    assert code == 0
+    assert json.loads(out)["inputs"] == {"f": "-1,0,0", "g": "-1/2,0", "binomial": False}
+
+    # a flag in the value's place is still a usage error
+    code, _, err = run_cli(capsys, "transvect", "--f", "--g", "1,1")
+    assert code == 1
+    assert "expected one argument" in err
+
+
 def test_transvect_malformed_exit_1(capsys):
     code, _, err = run_cli(capsys, "transvect", "--f", "1,oops", "--g", "0,1")
     assert code == 1

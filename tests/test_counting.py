@@ -1,20 +1,25 @@
 """Top-level counting API: validation, the degree integral, Chern-polynomial
-integration, fixed-point weights, and the independent sympy cross-check."""
+integration, fixed-point weights, and the independent sympy and ring-route
+cross-checks."""
 
 import math
 
 import pytest
 
 from tvcount import (
+    RingSpec,
+    TruncatedPolynomial,
     WeightPair,
     admissible_tuples,
+    beta_pushforward,
     degree_of_power_sum_locus,
     fixed_point_weights,
     integrate_chern_polynomial,
     validate,
 )
+from tvcount.cycles import segre_class
 
-from .helpers import all_admissible
+from .helpers import all_admissible, ring_route_count
 from .sympy_reference import sympy_count
 
 
@@ -61,14 +66,30 @@ def test_degree_line_case():
     assert degree_of_power_sum_locus(validate(1, 1, 3, 3)) == 2
 
 
+def swapped_count(problem) -> int:
+    """The count with the roles of f and g exchanged and no normalization:
+    caps (n, m, m+n-2), the alpha classes of the tuple (n, m, b, a), and beta
+    with z1 and z2 exchanged."""
+    m, n, a, b = problem.m, problem.n, problem.a, problem.b
+    spec = RingSpec((n, m, m + n - 2))
+    z1, z2, z3 = spec.variables()
+    alpha1 = (1 - b) * z1 + (1 - a) * z2 - z3
+    alpha2 = -b * (z1 * (z1 + (1 - a) * z2 - z3))
+    beta = TruncatedPolynomial(spec, {(q, p, r): c for (p, q, r), c in beta_pushforward(m, n).terms.items()})
+    return (segre_class(alpha1, alpha2, m + n) * beta).integrate()
+
+
 def test_degree_invariant_under_swap():
-    pairs = [(m, n) for m in range(1, 11) for n in range(1, 11) if math.gcd(m, n) <= 2]
-    for m, n in pairs[:40]:
-        g = math.gcd(m, n)
-        a, b = n // g, m // g
-        assert degree_of_power_sum_locus(validate(m, n, a, b)) == degree_of_power_sum_locus(
-            validate(n, m, b, a)
-        )
+    problems = admissible_tuples(30)
+    assert len(problems) == 141
+    for problem in problems:
+        assert swapped_count(problem) == degree_of_power_sum_locus(problem), problem
+
+
+def test_degree_matches_ring_route():
+    # geometric-series gamma, explicit-sum beta, general product loop
+    for problem in admissible_tuples(40):
+        assert degree_of_power_sum_locus(problem) == ring_route_count(problem), problem
 
 
 def test_degree_nonnegative_small():

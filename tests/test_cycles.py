@@ -13,9 +13,10 @@ from tvcount import (
     beta_pushforward,
     blowup_class_S,
     gamma_class,
-    geometric_inverse,
     top_chern_class_T,
 )
+
+from .helpers import explicit_beta_base, multinomial_gamma, series_beta_base, series_gamma
 
 
 def closed_sum(spec: RingSpec, r: int):
@@ -109,15 +110,7 @@ def test_beta_pushforward_series_equals_sum_form():
         for n in range(m, 7):
             if math.gcd(m, n) > 2:
                 continue
-            spec = ambient_spec(m, n)
-            z1, z2, z3 = spec.variables()
-            s = z1 + z2
-            top = m + n - 2
-            explicit = spec.zero()
-            for i in range(top + 1):
-                explicit = explicit + s ** i * z3 ** (top - i)
-            series = ((1 + s) ** (m + n - 1) * geometric_inverse(s - z3)).homogeneous_part(top)
-            assert series == explicit
+            assert series_beta_base(m, n) == explicit_beta_base(m, n)
 
 
 def test_beta_pushforward_symmetric_when_degrees_match():
@@ -206,12 +199,4 @@ def test_gamma_class_is_homogeneous():
 def test_gamma_class_two_paths_agree():
     # series route vs multinomial route, recomputed here from the alphas
     problem = PowerSumProblem(m=2, n=3, a=3, b=2, d=6)
-    a1, a2 = alpha_classes(problem)
-    spec = a1.spec
-    deg = problem.m + problem.n
-    series = geometric_inverse(a1 + a2).homogeneous_part(deg)
-    multinomial = spec.zero()
-    for j in range(deg // 2 + 1):
-        i = deg - 2 * j
-        multinomial = multinomial + ((-1) ** (i + j) * math.comb(i + j, i)) * (a1 ** i * a2 ** j)
-    assert series == multinomial == gamma_class(problem)
+    assert series_gamma(problem) == multinomial_gamma(problem) == gamma_class(problem)

@@ -114,6 +114,64 @@ def test_ring_axioms_random():
             assert p * (q + r) == p * q + p * r
 
 
+# -- top-degree pairing ----------------------------------------------------------
+
+
+def rand_homogeneous(rng: random.Random, spec: RingSpec, degree: int) -> TruncatedPolynomial:
+    """Random nonzero polynomial whose terms all have the given total degree."""
+    while True:
+        p = rand_poly(rng, spec, density=0.6).homogeneous_part(degree)
+        if not p.is_zero:
+            return p
+
+
+def naive_product(p: TruncatedPolynomial, q: TruncatedPolynomial) -> TruncatedPolynomial:
+    """Term-by-term product with truncation, written out independently."""
+    out: dict = {}
+    for ep, cp in p.terms.items():
+        for eq, cq in q.terms.items():
+            e = tuple(u + v for u, v in zip(ep, eq))
+            if all(x <= cap for x, cap in zip(e, p.spec.caps)):
+                out[e] = out.get(e, 0) + cp * cq
+    return TruncatedPolynomial(p.spec, out)
+
+
+PAIRING_CAPS = ((2, 3), (1, 1, 2), (3, 4, 5), (2, 2, 2, 1), (4,))
+
+
+def test_top_degree_pairing_matches_general_loop():
+    rng = random.Random(41)
+    for caps in PAIRING_CAPS:
+        spec = RingSpec(caps)
+        top = spec.top_degree
+        for _ in range(20):
+            da = rng.randint(1, top - 1)
+            a, b = rand_homogeneous(rng, spec, da), rand_homogeneous(rng, spec, top - da)
+            product = a * b
+            assert set(product.terms) <= {spec.caps}
+            assert product == b * a == naive_product(a, b)
+            # b + 1 is inhomogeneous, which sends the product through the general loop
+            general = a * (b + 1)
+            assert general == naive_product(a, b + 1)
+            assert product.integrate() == general.integrate()
+
+
+def test_homogeneous_products_off_the_top_degree_unchanged():
+    rng = random.Random(43)
+    checked = 0
+    for caps in PAIRING_CAPS:
+        spec = RingSpec(caps)
+        top = spec.top_degree
+        for _ in range(30):
+            da, db = rng.randint(0, top), rng.randint(0, top)
+            if da + db == top:
+                continue
+            a, b = rand_homogeneous(rng, spec, da), rand_homogeneous(rng, spec, db)
+            assert a * b == naive_product(a, b)
+            checked += 1
+    assert checked > 100
+
+
 # -- homogeneous_part -----------------------------------------------------------
 
 
