@@ -16,24 +16,32 @@ from .cycles import (
 
 
 def validate(m: int, n: int, a: int, b: int) -> PowerSumProblem:
-    """Check am == bn and gcd(m, n) <= 2, then normalize to m <= n by
-    swapping (m, a) with (n, b); the count is invariant under the swap.
+    """Build the PowerSumProblem for raw input: take each value as a positive
+    int (integral values such as 3.0 are accepted; bools and non-integral
+    values are rejected), normalize to m <= n by swapping (m, a) with (n, b),
+    which leaves the count invariant, and let PowerSumProblem check am == bn
+    and gcd(m, n) <= 2.
 
     Degenerate problems (a == 1 or b == 1) are accepted; callers can surface
     PowerSumProblem.degenerate as a warning.
     """
-    m, n, a, b = int(m), int(n), int(a), int(b)
-    for name, v in (("m", m), ("n", n), ("a", a), ("b", b)):
-        if v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v}")
-    if a * m != b * n:
-        raise ValueError(f"am != bn: {a}*{m} = {a * m} but {b}*{n} = {b * n}")
-    g = math.gcd(m, n)
-    if g > 2:
-        raise ValueError(f"unsupported gcd(m, n) = {g}; only 1 and 2 are supported")
+    m, n, a, b = (_positive_integer(name, v) for name, v in (("m", m), ("n", n), ("a", a), ("b", b)))
     if m > n:
         m, n, a, b = n, m, b, a
     return PowerSumProblem(m=m, n=n, a=a, b=b, d=a * m)
+
+
+def _positive_integer(name: str, value) -> int:
+    # checked before the swap, so the message names the caller's argument
+    if not isinstance(value, bool):
+        try:
+            as_int = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if as_int == value and as_int >= 1:
+                return as_int
+    raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def degree_of_power_sum_locus(problem: PowerSumProblem) -> int:

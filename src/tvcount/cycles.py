@@ -27,10 +27,13 @@ class PowerSumProblem:
     def __post_init__(self) -> None:
         for name in ("m", "n", "a", "b", "d"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if self.a * self.m != self.d or self.b * self.n != self.d:
-            raise ValueError(f"need a*m == b*n == d, got a*m={self.a * self.m}, b*n={self.b * self.n}, d={self.d}")
+        m, n, a, b = self.m, self.n, self.a, self.b
+        if a * m != b * n:
+            raise ValueError(f"am != bn: {a}*{m} = {a * m} but {b}*{n} = {b * n}")
+        if a * m != self.d:
+            raise ValueError(f"need d == a*m, got d={self.d}, a*m={a * m}")
         if self.m > self.n:
             raise ValueError(f"need m <= n, got m={self.m}, n={self.n} (normalize by swapping (m,a) and (n,b))")
         if self.gcd > 2:
@@ -141,36 +144,48 @@ def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:
     return TruncatedPolynomial._from_clean(ambient_spec(m, n), terms)
 
 
+def chern_roots(problem: PowerSumProblem) -> tuple[TruncatedPolynomial, TruncatedPolynomial]:
+    """Chern roots of the tautological rank-2 bundle, the classes of the line
+    bundles O(-a, 0, 0) and O(1, 1-b, -1): x1 = -a*z1 and
+    x2 = z1 + (1-b)*z2 - z3, so that 1 + alpha1 + alpha2 = (1 + x1)(1 + x2)."""
+    z1, z2, z3 = ambient_spec(problem.m, problem.n).variables()
+    return (-problem.a) * z1, z1 + (1 - problem.b) * z2 - z3
+
+
 def alpha_classes(problem: PowerSumProblem) -> tuple[TruncatedPolynomial, TruncatedPolynomial]:
     """The two classes substituting for the Chern classes of the tautological
-    rank-2 bundle: alpha1 of degree 1 and alpha2 of degree 2."""
-    spec = ambient_spec(problem.m, problem.n)
-    z1, z2, z3 = spec.variables()
-    a, b = problem.a, problem.b
-    alpha1 = (1 - a) * z1 + (1 - b) * z2 - z3
-    alpha2 = (-a) * (z1 * (z1 + (1 - b) * z2 - z3))
-    return alpha1, alpha2
-
-
-def segre_class(alpha1: TruncatedPolynomial, alpha2: TruncatedPolynomial, degree: int) -> TruncatedPolynomial:
-    """Degree-``degree`` part of 1 / (1 + alpha1 + alpha2), for alpha1
-    homogeneous of degree 1 and alpha2 of degree 2.
-
-    The parts h_k obey h_k = -alpha1*h_(k-1) - alpha2*h_(k-2) with h_0 = 1
-    and h_1 = -alpha1, so each step multiplies by a class of a few terms.
-    """
-    spec = alpha1.spec
-    neg1, neg2 = -alpha1, -alpha2
-    prev, cur = spec.zero(), spec.one()
-    for _ in range(int(degree)):
-        prev, cur = cur, neg1 * cur + neg2 * prev
-    return cur
+    rank-2 bundle: alpha1 = x1 + x2 of degree 1 and alpha2 = x1*x2 of
+    degree 2, that is (1-a)z1 + (1-b)z2 - z3 and -a*z1*(z1 + (1-b)z2 - z3)."""
+    x1, x2 = chern_roots(problem)
+    return x1 + x2, x1 * x2
 
 
 def gamma_class(problem: PowerSumProblem) -> TruncatedPolynomial:
     """Degree-(m+n) part of the inverted total Chern series
-    sum_i (-alpha1 - alpha2)^i, which also equals the multinomial sum over
-    i + 2j = m+n of (-1)^(i+j) C(i+j, i) alpha1^i alpha2^j.
+    1 / (1 + alpha1 + alpha2) = 1 / ((1 + x1)(1 + x2)), the complete
+    homogeneous polynomial h_(m+n)(-x1, -x2), which is
+    sum_i (a*z1)^i * (-z1 + (b-1)*z2 + z3)^(m+n-i).
+
+    Its coefficient at z1^p z2^q z3^r (p+q+r = m+n, within the caps) is
+    (b-1)^q * C(q+r, q) * U_p, where
+    U_p = sum_(s=0..p) (-1)^s a^(p-s) C(m+n-p+s, s), and the terms are
+    written down directly; a and b-1 are read off the roots.
     """
-    alpha1, alpha2 = alpha_classes(problem)
-    return segre_class(alpha1, alpha2, problem.m + problem.n)
+    x1, x2 = chern_roots(problem)
+    spec = x1.spec
+    m, n, cap3 = spec.caps
+    deg = m + n
+    a = -x1.coefficient((1, 0, 0))
+    c = -x2.coefficient((0, 1, 0))  # b - 1
+    c_pows = [c**q for q in range(n + 1)]
+    terms = {}
+    for p in range(m + 1):
+        k = deg - p  # q + r
+        u = sum((-1) ** s * a ** (p - s) * math.comb(k + s, s) for s in range(p + 1))
+        if not u:
+            continue
+        for q in range(max(0, k - cap3), min(n, k) + 1):
+            coeff = c_pows[q] * math.comb(k, q) * u
+            if coeff:
+                terms[(p, q, k - q)] = coeff
+    return TruncatedPolynomial._from_clean(spec, terms)

@@ -1,8 +1,8 @@
 """Shared test utilities: random exact-rational forms, admissible problem
 enumeration, structural-coefficient extraction for the transvectant, and the
-ring route for the gamma and beta classes: the geometric-series, multinomial
-and explicit-sum forms, built with generic ring arithmetic instead of the
-count's recurrence and closed form."""
+ring route for the gamma and beta classes: the recurrence, geometric-series,
+multinomial and explicit-sum forms, built with generic ring arithmetic instead
+of the count's closed forms."""
 
 from __future__ import annotations
 
@@ -67,6 +67,21 @@ def structural_support(m: int, n: int, i: int, j: int) -> set[int]:
 
 
 # -- ring route for the count's classes ---------------------------------------------
+
+
+def segre_class(alpha1, alpha2, degree: int):
+    """Degree-``degree`` part of 1 / (1 + alpha1 + alpha2), for alpha1
+    homogeneous of degree 1 and alpha2 of degree 2.
+
+    The parts h_k obey h_k = -alpha1*h_(k-1) - alpha2*h_(k-2) with h_0 = 1
+    and h_1 = -alpha1, so each step multiplies by a class of a few terms.
+    """
+    spec = alpha1.spec
+    neg1, neg2 = -alpha1, -alpha2
+    prev, cur = spec.zero(), spec.one()
+    for _ in range(int(degree)):
+        prev, cur = cur, neg1 * cur + neg2 * prev
+    return cur
 
 
 def series_gamma(problem):

@@ -1,7 +1,8 @@
 """Independent sympy-based implementations used as cross-checks.
 
 These deliberately share no code with the package under test: the count goes
-through sympy's symbolic expansion of the same intersection product, and the
+through sympy's polynomial arithmetic over ZZ on the same intersection product,
+with gamma in its multinomial form (which the package no longer uses), and the
 transvectant goes through sympy's differentiation.  Keep it that way so the
 dual-route checks stay meaningful.
 """
@@ -11,14 +12,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from sympy import Poly, Rational, diff, expand, symbols
+from sympy import ZZ, Poly, Rational, diff, expand, symbols
 
 _z1, _z2, _z3 = symbols("z1 z2 z3")
 _x, _y = symbols("x y")
 
 
 def sympy_count(m: int, n: int, a: int, b: int) -> int:
-    """Degree of the f^a + g^b locus via sympy symbolic expansion."""
+    """Degree of the f^a + g^b locus via sympy polynomial arithmetic over ZZ."""
     if a * m != b * n:
         raise ValueError("am != bn")
     if math.gcd(m, n) not in (1, 2):
@@ -26,30 +27,32 @@ def sympy_count(m: int, n: int, a: int, b: int) -> int:
     if m > n:
         m, n, a, b = n, m, b, a
 
-    alpha1 = (1 - a) * _z1 + (1 - b) * _z2 - _z3
-    alpha2 = -a * _z1**2 - a * (1 - b) * _z1 * _z2 + a * _z1 * _z3
+    def poly(expr):
+        return Poly(expr, _z1, _z2, _z3, domain=ZZ)
 
-    gamma = 0
+    alpha1 = poly((1 - a) * _z1 + (1 - b) * _z2 - _z3)
+    alpha2 = poly(-a * _z1**2 - a * (1 - b) * _z1 * _z2 + a * _z1 * _z3)
+
+    gamma = poly(0)
     for j in range((m + n) // 2 + 1):
         i = m + n - 2 * j
         coeff = (-1) ** (i + j) * math.factorial(i + j) // (math.factorial(i) * math.factorial(j))
         gamma += coeff * alpha1**i * alpha2**j
-    gamma = expand(gamma)
 
-    beta = 0
+    beta = poly(0)
     for i in range(m + n - 1):
-        beta += expand((_z1 + _z2) ** i) * _z3 ** (m + n - 2 - i)
+        beta += poly(_z1 + _z2) ** i * poly(_z3) ** (m + n - 2 - i)
     if math.gcd(m, n) == 2:
         if m % 2 != 0:
             raise ValueError("m must be even when gcd(m, n) = 2")
-        beta -= 2 ** (m - 2) * (
+        beta -= 2 ** (m - 2) * poly(
             (m // 2) ** 2 * _z1 ** (m - 2) * _z2**n
             + (n // 2) * (m // 2) * _z1 ** (m - 1) * _z2 ** (n - 1)
             + (n // 2) ** 2 * _z1**m * _z2 ** (n - 2)
         )
 
-    total = expand(gamma * beta)
-    return int(Poly(total, _z1, _z2, _z3).coeff_monomial(_z1**m * _z2**n * _z3 ** (m + n - 2)))
+    total = gamma * beta
+    return int(total.coeff_monomial(_z1**m * _z2**n * _z3 ** (m + n - 2)))
 
 
 def sympy_transvectant(f_coeffs, g_coeffs) -> list[Fraction]:

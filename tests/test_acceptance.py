@@ -103,7 +103,7 @@ def test_criterion_2_cross_formula_identities():
                 assert series_beta_base(m, n) == explicit, f"(m,n)=({m},{n})"
                 assert beta_pushforward(m, n) == explicit - excess_correction(m, n), f"(m,n)=({m},{n})"
 
-        # gamma: recurrence vs geometric-series form vs multinomial form,
+        # gamma: closed form vs geometric-series form vs multinomial form,
         # all admissible d <= 24
         for problem in all_admissible(24):
             assert gamma_class(problem) == series_gamma(problem) == multinomial_gamma(problem), problem

@@ -17,9 +17,7 @@ from tvcount import (
     integrate_chern_polynomial,
     validate,
 )
-from tvcount.cycles import segre_class
-
-from .helpers import all_admissible, ring_route_count
+from .helpers import all_admissible, ring_route_count, segre_class
 from .sympy_reference import sympy_count
 
 
@@ -47,6 +45,21 @@ def test_validate_rejects_mismatched_products():
         validate(2, 3, 2, 3)
     with pytest.raises(ValueError):
         validate(0, 1, 1, 1)
+    with pytest.raises(ValueError, match="^n must be a positive integer, got -1$"):
+        validate(2, -1, 1, 1)
+
+
+def test_validate_rejects_non_integers():
+    # int() would truncate 2.5 to the Clebsch tuple and read True as m = 1
+    for bad in ((2.5, 3, 3, 2), (True, 2, 2, 1), (2, 3, 3, "2"), (2, 3, None, 2)):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            validate(*bad)
+
+
+def test_validate_accepts_integral_values():
+    p = validate(2, 3.0, 3, 2)
+    assert (p.m, p.n, p.a, p.b, p.d) == (2, 3, 3, 2, 6)
+    assert all(type(v) is int for v in (p.m, p.n, p.a, p.b, p.d))
 
 
 def test_validate_flags_degenerate():

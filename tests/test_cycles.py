@@ -15,8 +15,16 @@ from tvcount import (
     gamma_class,
     top_chern_class_T,
 )
+from tvcount.cycles import chern_roots
 
-from .helpers import explicit_beta_base, multinomial_gamma, series_beta_base, series_gamma
+from .helpers import (
+    all_admissible,
+    explicit_beta_base,
+    multinomial_gamma,
+    segre_class,
+    series_beta_base,
+    series_gamma,
+)
 
 
 def closed_sum(spec: RingSpec, r: int):
@@ -142,6 +150,8 @@ def test_problem_invariants():
         PowerSumProblem(m=3, n=6, a=2, b=1, d=6)
     with pytest.raises(ValueError):
         PowerSumProblem(m=0, n=1, a=1, b=1, d=1)
+    with pytest.raises(ValueError, match="positive integer"):
+        PowerSumProblem(m=True, n=2, a=2, b=1, d=2)
 
 
 def test_problem_degenerate_flag():
@@ -179,6 +189,16 @@ def test_alpha_classes_5_3():
     assert a2 == -5 * z1 ** 2 + 10 * z1 * z2 + 5 * z1 * z3
 
 
+def test_chern_roots_factor_the_total_chern_class():
+    # 1 + alpha1 + alpha2 == (1 + x1)(1 + x2), with both alphas written out
+    for problem in all_admissible(24):
+        z1, z2, z3 = ambient_spec(problem.m, problem.n).variables()
+        a, b = problem.a, problem.b
+        x1, x2 = chern_roots(problem)
+        assert x1 + x2 == (1 - a) * z1 + (1 - b) * z2 - z3, problem
+        assert x1 * x2 == -a * z1 * z1 - a * (1 - b) * z1 * z2 + a * z1 * z3, problem
+
+
 # -- gamma class -------------------------------------------------------------------------
 
 
@@ -200,3 +220,12 @@ def test_gamma_class_two_paths_agree():
     # series route vs multinomial route, recomputed here from the alphas
     problem = PowerSumProblem(m=2, n=3, a=3, b=2, d=6)
     assert series_gamma(problem) == multinomial_gamma(problem) == gamma_class(problem)
+
+
+def test_gamma_class_matches_recurrence():
+    # closed form vs h_k = -alpha1*h_(k-1) - alpha2*h_(k-2), degenerate tuples included
+    problems = all_admissible(60)
+    assert len(problems) == 472
+    for problem in problems:
+        alpha1, alpha2 = alpha_classes(problem)
+        assert gamma_class(problem) == segre_class(alpha1, alpha2, problem.m + problem.n), problem
