@@ -4,7 +4,8 @@ The degree of the closure of the f^a + g^b locus in the space of degree-d
 binary forms is computed as an intersection product in the integral Chow
 ring of P^m x P^n x P^(m+n-2), with everything carried out in exact
 arbitrary-precision arithmetic.  A symbolic first-transvectant engine over
-exact rationals backs the validation suites.
+exact rationals backs the validation suites; its names load on first use
+(PEP 562), so a count never imports ``fractions``.
 """
 
 from .counting import (
@@ -23,13 +24,6 @@ from .cycles import (
     blowup_class_S,
     gamma_class,
     top_chern_class_T,
-)
-from .forms import (
-    BinaryForm,
-    mul_form,
-    pow_form,
-    transvectant,
-    transvectant_support,
 )
 from .ring import RingSpec, TruncatedPolynomial, geometric_inverse
 
@@ -59,3 +53,18 @@ __all__ = [
     "validate",
     "__version__",
 ]
+
+# the forms engine, loaded on first access
+_FORMS_NAMES = ("BinaryForm", "mul_form", "pow_form", "transvectant", "transvectant_support")
+
+
+def __getattr__(name: str):
+    if name in _FORMS_NAMES:
+        from . import forms
+
+        return getattr(forms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,20 +4,19 @@ Subcommands: count, class, transvect, table, selftest.
 Exit codes: 0 success, 1 usage error, 2 invalid problem, 3 self-test failure.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
+
+A process imports only what its command runs: json, traceback, fractions and
+the forms engine are imported inside the functions that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import traceback
-from fractions import Fraction
 
-from .counting import admissible_tuples, degree_of_power_sum_locus, validate
+from .counting import admissible_tuples, degree_of_power_sum_locus, positive_integer, validate
 from .cycles import PowerSumProblem, beta_pushforward
-from .forms import BinaryForm, transvectant
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,6 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_envelope(command: str, inputs: dict, result, warnings: list[str]) -> None:
+    import json
+
     envelope = {"command": command, "inputs": inputs, "result": result, "warnings": warnings}
     print(json.dumps(envelope, sort_keys=True))
 
@@ -69,9 +70,13 @@ def cmd_count(args) -> int:
     if args.d is not None:
         if args.m is not None or args.n is not None:
             return _fail("give either --m/--n or --d, not both", EXIT_USAGE)
-        if args.d % args.a or args.d % args.b:
-            return _fail(f"d = {args.d} is not divisible by both a = {args.a} and b = {args.b}", EXIT_INVALID)
-        m, n = args.d // args.a, args.d // args.b
+        try:
+            a, b = positive_integer("a", args.a), positive_integer("b", args.b)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_INVALID)
+        if args.d % a or args.d % b:
+            return _fail(f"d = {args.d} is not divisible by both a = {a} and b = {b}", EXIT_INVALID)
+        m, n = args.d // a, args.d // b
     else:
         if args.m is None or args.n is None:
             return _fail("need --m and --n (or --d)", EXIT_USAGE)
@@ -105,29 +110,65 @@ def cmd_class(args) -> int:
     return EXIT_OK
 
 
-def _parse_form(text: str) -> BinaryForm:
-    coeffs = [Fraction(part.strip()) for part in text.split(",")]
+# CPython's default for the longest int str() may print
+DEFAULT_MAX_DIGITS = 4300
+
+
+def _max_digits() -> int:
+    # the interpreter's limit on str(int) (Python 3.11 and 3.10.7+); where it
+    # is 0 (unlimited) or absent, the default still bounds the exponents
+    # _parse_coefficient accepts
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or DEFAULT_MAX_DIGITS
+
+
+def _parse_coefficient(text: str):
+    from fractions import Fraction
+
+    # Fraction("1e10000000") spends seconds building 10**10000000: refuse an
+    # exponent longer than a printable int before Fraction sees it
+    limit = _max_digits()
+    _, e, exponent = text.lower().partition("e")
+    try:
+        huge = bool(e) and abs(int(exponent)) > limit
+    except ValueError:
+        huge = False  # not an exponent; Fraction reports the malformed text
+    if huge:
+        raise ValueError(f"decimal exponent of {text!r} exceeds {limit}")
+    return Fraction(text)
+
+
+def _parse_form(text: str):
+    from .forms import BinaryForm
+
+    coeffs = [_parse_coefficient(part.strip()) for part in text.split(",")]
     return BinaryForm(len(coeffs) - 1, coeffs)
 
 
 def cmd_transvect(args) -> int:
+    from . import forms
+
     try:
         f = _parse_form(args.f)
         g = _parse_form(args.g)
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(f"malformed coefficient list: {exc}", EXIT_USAGE)
     if args.binomial:
-        f = BinaryForm.from_binomial(f.degree, f.coeffs)
-        g = BinaryForm.from_binomial(g.degree, g.coeffs)
+        f = forms.BinaryForm.from_binomial(f.degree, f.coeffs)
+        g = forms.BinaryForm.from_binomial(g.degree, g.coeffs)
     try:
-        t = transvectant(f, g)
+        t = forms.transvectant(f, g)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INVALID)
+    try:
+        result = t.to_dict()
+    except ValueError:  # str() of an int longer than the interpreter allows
+        return _fail(f"result has a coefficient longer than {_max_digits()} digits; too long to print", EXIT_INVALID)
     if args.json:
         inputs = {"f": args.f, "g": args.g, "binomial": bool(args.binomial)}
-        _print_envelope("transvect", inputs, t.to_dict(), [])
+        _print_envelope("transvect", inputs, result, [])
     else:
-        print(",".join(str(c) for c in t.coeffs))
+        print(",".join(result["coeffs"]))
     return EXIT_OK
 
 
@@ -268,9 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return EXIT_SELFTEST
-
 
 
 def entry() -> None:

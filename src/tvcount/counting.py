@@ -4,9 +4,9 @@ integration, and fixed-point weight bookkeeping."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from ._frozen import Frozen
 from .cycles import (
     PowerSumProblem,
     alpha_classes,
@@ -25,14 +25,16 @@ def validate(m: int, n: int, a: int, b: int) -> PowerSumProblem:
     Degenerate problems (a == 1 or b == 1) are accepted; callers can surface
     PowerSumProblem.degenerate as a warning.
     """
-    m, n, a, b = (_positive_integer(name, v) for name, v in (("m", m), ("n", n), ("a", a), ("b", b)))
+    # checked before the swap, so a message names the caller's argument
+    m, n, a, b = (positive_integer(name, v) for name, v in (("m", m), ("n", n), ("a", a), ("b", b)))
     if m > n:
         m, n, a, b = n, m, b, a
     return PowerSumProblem(m=m, n=n, a=a, b=b, d=a * m)
 
 
-def _positive_integer(name: str, value) -> int:
-    # checked before the swap, so the message names the caller's argument
+def positive_integer(name: str, value) -> int:
+    """``value`` as a positive int; integral values such as 3.0 pass, bools,
+    non-integral and non-positive values raise ValueError naming ``name``."""
     if not isinstance(value, bool):
         try:
             as_int = int(value)
@@ -92,13 +94,20 @@ def integrate_chern_polynomial(
     return (acc * beta_pushforward(problem.m, problem.n)).integrate()
 
 
-@dataclass(frozen=True, eq=False)
-class WeightPair:
+class WeightPair(Frozen):
     """Unordered pair of torus weights of the rank-2 bundle fiber at a fixed
     point; comparison ignores order."""
 
+    __slots__ = ("w1", "w2")
     w1: int
     w2: int
+
+    def __init__(self, w1: int, w2: int) -> None:
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "w2", w2)
+
+    def _fields(self) -> tuple:
+        return (self.w1, self.w2)
 
     def sorted(self) -> tuple[int, int]:
         return (self.w1, self.w2) if self.w1 <= self.w2 else (self.w2, self.w1)

@@ -7,37 +7,39 @@ All classes live in the Chow ring of P^m x P^n x P^(m+n-2), i.e. caps
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .ring import RingSpec, TruncatedPolynomial, geometric_inverse
 
 
-@dataclass(frozen=True)
-class PowerSumProblem:
+class PowerSumProblem(Frozen):
     """Validated tuple (m, n, a, b, d) with a*m == b*n == d, gcd(m, n) in
     {1, 2}, and m <= n.  Use counting.validate() to build one from raw input
     (it also performs the m <= n normalization)."""
 
+    __slots__ = ("m", "n", "a", "b", "d")
     m: int
     n: int
     a: int
     b: int
     d: int
 
-    def __post_init__(self) -> None:
-        for name in ("m", "n", "a", "b", "d"):
-            v = getattr(self, name)
+    def __init__(self, m: int, n: int, a: int, b: int, d: int) -> None:
+        for name, v in (("m", m), ("n", n), ("a", a), ("b", b), ("d", d)):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        m, n, a, b = self.m, self.n, self.a, self.b
+            object.__setattr__(self, name, v)
         if a * m != b * n:
             raise ValueError(f"am != bn: {a}*{m} = {a * m} but {b}*{n} = {b * n}")
-        if a * m != self.d:
-            raise ValueError(f"need d == a*m, got d={self.d}, a*m={a * m}")
-        if self.m > self.n:
-            raise ValueError(f"need m <= n, got m={self.m}, n={self.n} (normalize by swapping (m,a) and (n,b))")
+        if a * m != d:
+            raise ValueError(f"need d == a*m, got d={d}, a*m={a * m}")
+        if m > n:
+            raise ValueError(f"need m <= n, got m={m}, n={n} (normalize by swapping (m,a) and (n,b))")
         if self.gcd > 2:
             raise ValueError(f"unsupported gcd(m, n) = {self.gcd}; only 1 and 2 are supported")
+
+    def _fields(self) -> tuple:
+        return (self.m, self.n, self.a, self.b, self.d)
 
     @property
     def gcd(self) -> int:

@@ -12,9 +12,9 @@ transvectant itself is always reported in the plain basis.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from math import comb
-from typing import Iterable
+from math import comb, lcm
 
 Rationalish = int | str | Fraction
 
@@ -33,6 +33,14 @@ class BinaryForm:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients, got {len(cs)}")
         self.degree = degree
         self.coeffs = cs
+
+    @classmethod
+    def _from_clean(cls, degree: int, coeffs: tuple[Fraction, ...]) -> "BinaryForm":
+        # fast constructor for coefficients already known to be valid
+        form = object.__new__(cls)
+        form.degree = degree
+        form.coeffs = coeffs
+        return form
 
     @classmethod
     def zero(cls, degree: int) -> "BinaryForm":
@@ -162,7 +170,25 @@ def transvectant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """
     if f.degree < 1 or g.degree < 1:
         raise ValueError("transvectant undefined below degree 1")
-    return f.dx() * g.dy() - f.dy() * g.dx()
+    m, n = f.degree, g.degree
+    fs, lf = _over_common_denominator(f.coeffs)
+    gs, lg = _over_common_denominator(g.coeffs)
+    # f_x*g_y - f_y*g_x collects f_i*g_j, (m-i)*j - i*(n-j) = m*j - n*i times,
+    # in the coefficient of x^(m+n-1-i-j) y^(i+j-1); i+j = 0 and i+j = m+n
+    # carry weight 0 and fall outside the output
+    sums = [0] * (m + n + 1)
+    for i, fi in enumerate(fs):
+        if fi:
+            for j, gj in enumerate(gs):
+                sums[i + j] += (m * j - n * i) * fi * gj
+    den = lf * lg
+    return BinaryForm._from_clean(m + n - 2, tuple(Fraction(s, den) for s in sums[1:-1]))
+
+
+def _over_common_denominator(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator l: c_i = s_i / l."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def transvectant_support(m: int, n: int, k: int) -> set[tuple[int, int]]:

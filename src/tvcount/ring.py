@@ -11,27 +11,31 @@ no stored coefficient is zero, and no stored exponent exceeds its cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+
+from ._frozen import Frozen
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Frozen):
     """Per-variable exponent caps (c1, ..., ck).
 
     Cap ci is the dimension of the i-th projective factor; degree-0 cycles
     integrate to the coefficient of z1^c1 * ... * zk^ck.
     """
 
+    __slots__ = ("caps",)
     caps: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        caps = tuple(int(c) for c in self.caps)
+    def __init__(self, caps: Iterable[int]) -> None:
+        caps = tuple(int(c) for c in caps)
         if len(caps) == 0:
             raise ValueError("RingSpec needs at least one variable")
         if any(c < 0 for c in caps):
             raise ValueError(f"caps must be nonnegative, got {caps}")
         object.__setattr__(self, "caps", caps)
+
+    def _fields(self) -> tuple:
+        return (self.caps,)
 
     @property
     def nvars(self) -> int:

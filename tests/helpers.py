@@ -1,8 +1,8 @@
 """Shared test utilities: random exact-rational forms, admissible problem
-enumeration, structural-coefficient extraction for the transvectant, and the
-ring route for the gamma and beta classes: the recurrence, geometric-series,
-multinomial and explicit-sum forms, built with generic ring arithmetic instead
-of the count's closed forms."""
+enumeration, structural-coefficient extraction for the transvectant, its
+derivative route, and the ring route for the gamma and beta classes: the
+recurrence, geometric-series, multinomial and explicit-sum forms, built with
+generic ring arithmetic instead of the count's closed forms."""
 
 from __future__ import annotations
 
@@ -58,6 +58,12 @@ def structural_coefficient(m: int, n: int, i: int, j: int) -> Fraction:
     the plain basis.  Extracted by bilinearity from a basis pair."""
     t = transvectant(basis_form(m, i), basis_form(n, j))
     return t.coeffs[i + j - 1]
+
+
+def derivative_transvectant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """{f, g} as f_x*g_y - f_y*g_x with the Fraction arithmetic of BinaryForm's
+    dx, dy and product: the route the package's integer kernel replaced."""
+    return f.dx() * g.dy() - f.dy() * g.dx()
 
 
 def structural_support(m: int, n: int, i: int, j: int) -> set[int]:

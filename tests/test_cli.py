@@ -1,10 +1,19 @@
 """CLI integration tests: exit codes, JSON envelope stability, formats."""
 
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
-from tvcount.cli import main
+import pytest
+
+import tvcount
+from tvcount.cli import DEFAULT_MAX_DIGITS, main
+
+# the src directory this tvcount was imported from, for subprocesses
+PACKAGE_ROOT = str(Path(tvcount.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +78,17 @@ def test_count_invalid_problem_exits_2(capsys):
     code, _, err = run_cli(capsys, "count", "--d", "13", "--a", "3", "--b", "2")
     assert code == 2
     assert "divisible" in err
+
+
+@pytest.mark.parametrize("power, argv", [("a", ["--a", "0", "--b", "2"]), ("b", ["--a", "3", "--b", "0"])])
+def test_count_zero_power_exits_2(capsys, power, argv):
+    code, out, err = run_cli(capsys, "count", "--d", "6", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {power} must be a positive integer, got 0\n"
+
+    code, _, err = run_cli(capsys, "count", "--d", "6", *[v.replace("0", "-3") for v in argv])
+    assert code == 2
+    assert f"{power} must be a positive integer, got -3" in err
 
 
 def test_count_usage_errors_exit_1(capsys):
@@ -175,6 +195,54 @@ def test_transvect_malformed_exit_1(capsys):
     assert code == 1
 
 
+def timed_cli(capsys, *argv):
+    t0 = time.perf_counter()
+    result = run_cli(capsys, *argv)
+    return (*result, time.perf_counter() - t0)
+
+
+@pytest.mark.parametrize("coefficient", ["1e10000000", "-2E-10000000", "1e+1_0000000"])
+def test_transvect_huge_exponent_exits_1_quickly(capsys, coefficient):
+    # Fraction() would spend seconds building a 10-million-digit power of ten
+    code, out, err, seconds = timed_cli(capsys, "transvect", "--f", f"{coefficient},1", "--g", "1,1")
+    assert (code, out) == (1, "")
+    assert "malformed coefficient list" in err and "exponent" in err
+    assert seconds < 1
+
+
+needs_str_digits_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python does not limit str(int)"
+)
+
+
+@needs_str_digits_limit
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_transvect_result_too_long_to_print_exits_2_quickly(capsys, extra):
+    # {f, g} = 10^limit has one digit more than str() may print
+    limit = sys.get_int_max_str_digits()
+    code, out, err, seconds = timed_cli(capsys, "transvect", "--f", f"1e{limit},0", "--g", "0,1", *extra)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "too long to print" in err
+    assert seconds < 1
+
+
+@needs_str_digits_limit
+def test_transvect_exponent_bound_when_printing_is_unlimited(capsys):
+    # with the limit off, results of any length print, and exponents are
+    # still bounded by the interpreter's default limit
+    limit = sys.get_int_max_str_digits()
+    default = sys.int_info.default_max_str_digits
+    assert default == DEFAULT_MAX_DIGITS
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run_cli(capsys, "transvect", "--f", f"1e{default},0", "--g", "0,1")
+        assert (code, out) == (0, "1" + "0" * default + "\n")
+        code, _, err, seconds = timed_cli(capsys, "transvect", "--f", "1e10000000,1", "--g", "1,1")
+        assert code == 1 and seconds < 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_transvect_degree_zero_exit_2(capsys):
     code, _, err = run_cli(capsys, "transvect", "--f", "5", "--g", "0,1")
     assert code == 2
@@ -245,3 +313,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "40"
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # what a count process pays for before it starts: none of these, unless
+    # interpreter start-up (site) had loaded them already
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "json", "traceback", "tvcount.forms")
+    code = (
+        "import sys; before = set(sys.modules); import tvcount.cli; "
+        f"print([m for m in {heavy!r} if m in set(sys.modules) - before])"
+    )
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

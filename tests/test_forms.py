@@ -7,9 +7,16 @@ from math import comb
 
 import pytest
 
-from tvcount import BinaryForm, mul_form, pow_form, transvectant, transvectant_support
+import tvcount
+from tvcount import BinaryForm, forms, mul_form, pow_form, transvectant, transvectant_support
 
-from .helpers import basis_form, rand_form, structural_coefficient, structural_support
+from .helpers import (
+    basis_form,
+    derivative_transvectant,
+    rand_form,
+    structural_coefficient,
+    structural_support,
+)
 from .sympy_reference import sympy_transvectant
 
 
@@ -116,6 +123,55 @@ def test_transvectant_matches_sympy():
         f, g = rand_form(rng, m), rand_form(rng, n)
         t = transvectant(f, g)
         assert list(t.coeffs) == sympy_transvectant(f.coeffs, g.coeffs)
+
+
+def _oracle_coefficient(rng: random.Random) -> Fraction:
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:  # small, either sign
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if kind == 2:  # large denominator
+        return Fraction(rng.randint(-(10 ** 30), 10 ** 30), rng.randint(1, 10 ** 40))
+    return Fraction(-rng.randint(1, 10 ** 12), rng.choice((1, 2 ** 61 - 1, 3 ** 50)))
+
+
+def _oracle_form(rng: random.Random, degree: int) -> BinaryForm:
+    shape = rng.randrange(4)
+    if shape == 0:
+        return BinaryForm.zero(degree)
+    coeffs = [_oracle_coefficient(rng) for _ in range(degree + 1)]
+    if shape == 1:  # vanishing leading coefficients
+        k = rng.randint(1, degree)
+        coeffs[:k] = [Fraction(0)] * k
+    return BinaryForm(degree, coeffs)
+
+
+def test_transvectant_matches_derivative_route():
+    # the integer kernel against f_x*g_y - f_y*g_x in Fraction arithmetic
+    rng = random.Random(5)
+    degrees = [(1, 1), (1, 60), (60, 1), (60, 60)] + [(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(60)]
+    for m, n in degrees:
+        f, g = _oracle_form(rng, m), _oracle_form(rng, n)
+        got, want = transvectant(f, g), derivative_transvectant(f, g)
+        assert got.degree == want.degree == m + n - 2
+        assert got.coeffs == want.coeffs, (m, n)
+        assert [str(c) for c in got.coeffs] == [str(c) for c in want.coeffs]
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+# -- package exports --------------------------------------------------------------
+
+
+def test_package_exposes_every_name_in_all():
+    assert tvcount.transvectant is forms.transvectant
+    assert set(tvcount.__all__) <= set(dir(tvcount))
+    namespace: dict = {}
+    exec("from tvcount import *", namespace)
+    assert all(name in namespace for name in tvcount.__all__)
+    assert namespace["BinaryForm"] is forms.BinaryForm
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        tvcount.nonexistent
 
 
 # -- exact identities (spot checks; the full randomized suite runs in acceptance) --

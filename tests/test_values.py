@@ -1,0 +1,91 @@
+"""The immutable value classes RingSpec, PowerSumProblem and WeightPair:
+repr, equality, hashing, immutability, pickling and construction checks."""
+
+import copy
+import pickle
+
+import pytest
+
+from tvcount import PowerSumProblem, RingSpec, WeightPair
+
+
+def test_repr_strings():
+    assert repr(PowerSumProblem(m=2, n=3, a=3, b=2, d=6)) == "PowerSumProblem(m=2, n=3, a=3, b=2, d=6)"
+    assert repr(RingSpec((2, 3, 3))) == "RingSpec(caps=(2, 3, 3))"
+    assert repr(WeightPair(3, -1)) == "WeightPair(3, -1)"
+
+
+def test_equality_and_hash():
+    p = PowerSumProblem(m=2, n=3, a=3, b=2, d=6)
+    assert p == PowerSumProblem(2, 3, 3, 2, 6)
+    assert p != PowerSumProblem(m=4, n=6, a=3, b=2, d=12)
+    assert p != (2, 3, 3, 2, 6)
+    assert hash(p) == hash((2, 3, 3, 2, 6))
+    assert len({p, PowerSumProblem(2, 3, 3, 2, 6)}) == 1
+
+    spec = RingSpec((2, 3, 3))
+    assert spec == RingSpec([2, 3, 3]) and spec != RingSpec((2, 3, 4))
+    assert spec != (2, 3, 3)
+    assert hash(spec) == hash(((2, 3, 3),))
+
+    # a weight pair is unordered
+    assert WeightPair(3, -1) == WeightPair(-1, 3)
+    assert hash(WeightPair(3, -1)) == hash(WeightPair(-1, 3))
+    assert WeightPair(3, -1) != WeightPair(3, 1)
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (PowerSumProblem(m=2, n=3, a=3, b=2, d=6), "m"),
+        (RingSpec((1, 2)), "caps"),
+        (WeightPair(1, 2), "w1"),
+    ],
+)
+def test_fields_are_read_only(value, field):
+    before = repr(value)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, 7)
+    with pytest.raises(AttributeError):
+        value.new_attribute = 1
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(value, field)
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize(
+    "value",
+    [PowerSumProblem(m=4, n=6, a=3, b=2, d=12), RingSpec((4, 6, 8)), WeightPair(-5, 2)],
+)
+def test_pickle_and_copy_round_trip(value):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value)
+        assert back == value and repr(back) == repr(value)
+    assert copy.copy(value) == value
+    assert copy.deepcopy(value) == value
+
+
+def test_ring_spec_coerces_caps():
+    spec = RingSpec([1.0, 2])
+    assert spec.caps == (1, 2)
+    assert all(type(c) is int for c in spec.caps)
+    with pytest.raises(ValueError, match="at least one variable"):
+        RingSpec(())
+    with pytest.raises(ValueError, match="nonnegative"):
+        RingSpec((2, -1))
+
+
+def test_problem_construction_errors():
+    with pytest.raises(ValueError, match="am != bn"):
+        PowerSumProblem(m=2, n=3, a=2, b=3, d=4)
+    with pytest.raises(ValueError, match="need d == a\\*m"):
+        PowerSumProblem(m=2, n=3, a=3, b=2, d=7)
+    with pytest.raises(ValueError, match="need m <= n"):
+        PowerSumProblem(m=3, n=2, a=2, b=3, d=6)
+    with pytest.raises(ValueError, match="unsupported gcd"):
+        PowerSumProblem(m=3, n=6, a=2, b=1, d=6)
+    with pytest.raises(ValueError, match="d must be a positive integer, got 6.0"):
+        PowerSumProblem(m=2, n=3, a=3, b=2, d=6.0)
+    with pytest.raises(TypeError):
+        PowerSumProblem(m=2, n=3, a=3, b=2)
