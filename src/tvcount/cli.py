@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: count, class, transvect, table, selftest.
-Exit codes: 0 success, 1 usage error, 2 invalid problem, 3 self-test failure.
+Exit codes: 0 success, 1 usage error, 2 invalid problem or a result too long
+to print, 3 self-test failure.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
@@ -12,6 +13,7 @@ the forms engine are imported inside the functions that use them.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -32,6 +34,10 @@ KNOWN_COUNTS = (
 )
 
 DEGENERATE_WARNING = "a = 1 or b = 1: the locus is the whole space; the reported number is still the raw intersection product"
+SQUARES_WARNING = (
+    "a = b = 2: f^2 + g^2 = (f + ig)(f - ig), so every fibre of (f, g) -> f^2 + g^2 is "
+    "positive-dimensional and the intersection product is 0, not the degree of the locus"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,8 +91,14 @@ def cmd_count(args) -> int:
         problem = validate(m, n, args.a, args.b)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INVALID)
+    if too_long := _too_long(problem):
+        return _fail(too_long, EXIT_INVALID)
     degree = degree_of_power_sum_locus(problem)
+    if too_long := _too_long(problem, degree):
+        return _fail(too_long, EXIT_INVALID)
     warnings = [DEGENERATE_WARNING] if problem.degenerate else []
+    if problem.a == problem.b == 2:
+        warnings.append(SQUARES_WARNING)
     if args.json:
         _print_envelope("count", inputs, _count_payload(problem, degree), warnings)
     else:
@@ -114,12 +126,35 @@ def cmd_class(args) -> int:
 DEFAULT_MAX_DIGITS = 4300
 
 
+def _str_digits_limit() -> int:
+    # the interpreter's limit on str(int) (Python 3.11 and 3.10.7+); 0 where
+    # it is unlimited or absent
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _max_digits() -> int:
-    # the interpreter's limit on str(int) (Python 3.11 and 3.10.7+); where it
-    # is 0 (unlimited) or absent, the default still bounds the exponents
+    # where str(int) is unlimited, the default still bounds the exponents
     # _parse_coefficient accepts
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return limit or DEFAULT_MAX_DIGITS
+    return _str_digits_limit() or DEFAULT_MAX_DIGITS
+
+
+def _too_long(problem: PowerSumProblem, degree: int | None = None) -> str | None:
+    """The one-line refusal when the count has more digits than str() prints,
+    else None.  Before the count is computed it is refused when
+    floor(m log10 a + n log10 b) >= limit + 1: it is a^m b^n less terms too
+    small to cost it a digit there.  After, the bit length settles all but
+    the values next to 10^limit."""
+    m, n, a, b = problem.m, problem.n, problem.a, problem.b
+    limit = _str_digits_limit()
+    if not limit:
+        return None
+    if degree is None:
+        over = math.floor(m * math.log10(a) + n * math.log10(b)) > limit
+    else:
+        over = degree.bit_length() > limit * math.log2(10) and abs(degree) >= 10**limit
+    if not over:
+        return None
+    return f"the count for (m,n,a,b)=({m},{n},{a},{b}) has more than {limit} digits, the most str() prints (sys.get_int_max_str_digits())"
 
 
 def _parse_coefficient(text: str):
@@ -200,6 +235,9 @@ def _worker_cap(n_jobs: int) -> int:
 
 def cmd_table(args) -> int:
     problems = admissible_tuples(args.max_d)
+    for problem in problems:
+        if too_long := _too_long(problem):
+            return _fail(too_long, EXIT_INVALID)
     workers = _worker_cap(len(problems)) if problems else 1
     if workers > 1:
         try:
@@ -212,6 +250,9 @@ def cmd_table(args) -> int:
             rows = [_table_row(p) for p in problems]
     else:
         rows = [_table_row(p) for p in problems]
+    for problem, row in zip(problems, rows):
+        if too_long := _too_long(problem, row[-1]):
+            return _fail(too_long, EXIT_INVALID)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
     header = ("d", "a", "b", "m", "n", "gcd", "degree")

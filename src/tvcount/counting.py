@@ -7,12 +7,7 @@ import math
 from collections.abc import Iterable
 
 from ._frozen import Frozen
-from .cycles import (
-    PowerSumProblem,
-    alpha_classes,
-    beta_pushforward,
-    gamma_class,
-)
+from .cycles import PowerSumProblem, beta_pushforward, gamma_class, gcd2_excess
 
 
 def validate(m: int, n: int, a: int, b: int) -> PowerSumProblem:
@@ -32,18 +27,25 @@ def validate(m: int, n: int, a: int, b: int) -> PowerSumProblem:
     return PowerSumProblem(m=m, n=n, a=a, b=b, d=a * m)
 
 
-def positive_integer(name: str, value) -> int:
-    """``value`` as a positive int; integral values such as 3.0 pass, bools,
-    non-integral and non-positive values raise ValueError naming ``name``."""
+def _integral(value) -> int | None:
+    """``value`` as an int if it is integral and not a bool (3.0 passes)."""
     if not isinstance(value, bool):
         try:
             as_int = int(value)
         except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if as_int == value and as_int >= 1:
-                return as_int
-    raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            return None
+        if as_int == value:
+            return as_int
+    return None
+
+
+def positive_integer(name: str, value) -> int:
+    """``value`` as a positive int; integral values such as 3.0 pass, bools,
+    non-integral and non-positive values raise ValueError naming ``name``."""
+    as_int = _integral(value)
+    if as_int is None or as_int < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return as_int
 
 
 def degree_of_power_sum_locus(problem: PowerSumProblem) -> int:
@@ -65,33 +67,41 @@ def integrate_chern_polynomial(
     """Integrate an arbitrary homogeneous degree-(m+n) polynomial in the two
     tautological Chern classes against the pushed-forward class.
 
-    ``terms`` lists (coeff, e1, e2) monomials coeff * s1^e1 * s2^e2, where s1
-    has degree 1 and s2 degree 2; every term must satisfy e1 + 2*e2 == m + n.
-    The si are substituted by the alpha classes and the product is integrated.
-    Terms are gathered per e2 and summed by Horner's rule in (s1^2, s2), so
-    every step multiplies by a class of a few terms.
+    ``terms`` lists integer (coeff, e1, e2) monomials coeff * s1^e1 * s2^e2
+    with e1 + 2*e2 == m + n.  Closed form (N = m+n, c_k the coefficient at
+    s2^k): at z3 = z1 + z2 the Chern roots are -a*z1 and -b*z2, so pairing
+    s1^(N-2k) s2^k with beta gives (-1)^N C(N-2k, m-k) a^m b^n, less the
+    three monomials whose z3 exponent passes the cap N-2 and, for gcd 2, the
+    three at the excess class.  Their uncapped coefficients L_ij at
+    z1^i z2^j z3^(N-i-j) are the degree-2 part of s1 = -1 + (1-a)z1 + (1-b)z2,
+    s2 = a*z1*(1 - z1 - (1-b)z2) at z3 = 1, which only c_0, c_1, c_2 reach.
     """
-    term_list = [(int(c), int(e1), int(e2)) for c, e1, e2 in terms]
-    deg = problem.m + problem.n
-    for c, e1, e2 in term_list:
+    m, n, a, b = problem.m, problem.n, problem.a, problem.b
+    deg = m + n
+    coeffs = [0] * max(deg // 2 + 1, 3)
+    for raw in terms:
+        c, e1, e2 = term = [_integral(v) for v in raw]
+        if None in term:
+            raise ValueError(f"Chern polynomial terms must be integers: term (coeff, e1, e2) = {tuple(raw)!r}")
         if e1 < 0 or e2 < 0 or e1 + 2 * e2 != deg:
             raise ValueError(
                 f"Chern polynomial must have degree m+n = {deg}: term (coeff={c}, e1={e1}, e2={e2})"
             )
-    coeffs = [0] * (deg // 2 + 1)
-    for c, _, e2 in term_list:
         coeffs[e2] += c
-    alpha1, alpha2 = alpha_classes(problem)
-    alpha1_sq = alpha1 * alpha1
-    # acc = sum_(i <= j) coeffs[i] * alpha1^(2(j-i)) * alpha2^i after step j
-    acc = alpha1.spec.zero()
-    alpha2_pow = alpha1.spec.one()
-    for c in coeffs:
-        acc = acc * alpha1_sq + c * alpha2_pow
-        alpha2_pow = alpha2_pow * alpha2
-    if deg % 2:
-        acc = acc * alpha1
-    return (acc * beta_pushforward(problem.m, problem.n)).integrate()
+    # a term with k > m pairs with nothing, and C(N-2k, m-k) would raise
+    total = a**m * b**n * sum(math.comb(deg - 2 * k, m - k) * c for k, c in enumerate(coeffs[: m + 1]))
+    # the uncapped L_ij, with the common sign (-1)^N taken out
+    c0, c1, c2 = coeffs[:3]
+    p, q = 1 - a, 1 - b
+    l10, l01 = a * c1 - deg * p * c0, -deg * q * c0
+    total -= math.comb(deg, m) * c0 + math.comb(deg - 1, m - 1) * l10 + math.comb(deg - 1, m) * l01
+    if problem.gcd == 2:
+        l20 = math.comb(deg, 2) * p * p * c0 - a * (1 + (deg - 2) * p) * c1 + a * a * c2
+        l11 = (deg - 1) * q * (deg * p * c0 - a * c1)
+        l02 = math.comb(deg, 2) * q * q * c0
+        e20, e11, e02 = gcd2_excess(m, n)
+        total -= e20 * l20 + e11 * l11 + e02 * l02
+    return -total if deg % 2 else total
 
 
 class WeightPair(Frozen):

@@ -131,19 +131,21 @@ def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:
         for q in range(min(n, top - p) + 1)
     }
     if g == 2:
-        e = 2 ** (m - 2)
-        half_m, half_n = m // 2, n // 2
-        for exps, excess in (
-            ((m - 2, n, 0), e * half_m * half_m),
-            ((m - 1, n - 1, 0), e * half_m * half_n),
-            ((m, n - 2, 0), e * half_n * half_n),
-        ):
+        for exps, excess in zip(((m - 2, n, 0), (m - 1, n - 1, 0), (m, n - 2, 0)), gcd2_excess(m, n)):
             left = terms[exps] - excess
             if left:
                 terms[exps] = left
             else:
                 del terms[exps]
     return TruncatedPolynomial._from_clean(ambient_spec(m, n), terms)
+
+
+def gcd2_excess(m: int, n: int) -> tuple[int, int, int]:
+    """Coefficients 2^(m-2) * ((m/2)^2, (m/2)(n/2), (n/2)^2) of the gcd-2
+    excess class at z1^(m-2) z2^n, z1^(m-1) z2^(n-1) and z1^m z2^(n-2)."""
+    e = 2 ** (m - 2)
+    half_m, half_n = m // 2, n // 2
+    return e * half_m * half_m, e * half_m * half_n, e * half_n * half_n
 
 
 def chern_roots(problem: PowerSumProblem) -> tuple[TruncatedPolynomial, TruncatedPolynomial]:

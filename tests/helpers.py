@@ -2,7 +2,8 @@
 enumeration, structural-coefficient extraction for the transvectant, its
 derivative route, and the ring route for the gamma and beta classes: the
 recurrence, geometric-series, multinomial and explicit-sum forms, built with
-generic ring arithmetic instead of the count's closed forms."""
+generic ring arithmetic instead of the count's closed forms, and the Horner
+route for the Chern integral."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from tvcount import BinaryForm, alpha_classes, geometric_inverse, transvectant, validate
+from tvcount import BinaryForm, alpha_classes, beta_pushforward, geometric_inverse, transvectant, validate
 from tvcount.cycles import ambient_spec
 
 
@@ -154,3 +155,34 @@ def ring_route_count(problem) -> int:
     # gamma * w has degree m+n+deg(w), never the top degree 2(m+n)-2
     w = spec.variable(0) if m + n == 2 else spec.one()
     return (series_gamma(problem) * (beta + w)).integrate()
+
+
+def gamma_terms(deg: int) -> list[tuple[int, int, int]]:
+    """gamma as (coeff, e1, e2) terms in s1, s2 for integrate_chern_polynomial:
+    (-1)^(i+j) C(i+j, i) s1^i s2^j over i + 2j = deg."""
+    terms = []
+    for j in range(deg // 2 + 1):
+        i = deg - 2 * j
+        terms.append(((-1) ** (i + j) * math.comb(i + j, i), i, j))
+    return terms
+
+
+def horner_chern_integral(problem, terms) -> int:
+    """integrate_chern_polynomial by ring arithmetic: the alpha classes
+    substituted for s1 and s2, the terms gathered per e2 and summed by
+    Horner's rule in (s1^2, s2), and the product with beta integrated."""
+    deg = problem.m + problem.n
+    coeffs = [0] * (deg // 2 + 1)
+    for c, _, e2 in terms:
+        coeffs[e2] += c
+    alpha1, alpha2 = alpha_classes(problem)
+    alpha1_sq = alpha1 * alpha1
+    # acc = sum_(i <= j) coeffs[i] * alpha1^(2(j-i)) * alpha2^i after step j
+    acc = alpha1.spec.zero()
+    alpha2_pow = alpha1.spec.one()
+    for c in coeffs:
+        acc = acc * alpha1_sq + c * alpha2_pow
+        alpha2_pow = alpha2_pow * alpha2
+    if deg % 2:
+        acc = acc * alpha1
+    return (acc * beta_pushforward(problem.m, problem.n)).integrate()

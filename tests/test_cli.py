@@ -1,6 +1,7 @@
 """CLI integration tests: exit codes, JSON envelope stability, formats."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,10 @@ from pathlib import Path
 import pytest
 
 import tvcount
-from tvcount.cli import DEFAULT_MAX_DIGITS, main
+from tvcount import cli, integrate_chern_polynomial, validate
+from tvcount.cli import DEFAULT_MAX_DIGITS, SQUARES_WARNING, main
+
+from .helpers import gamma_terms
 
 # the src directory this tvcount was imported from, for subprocesses
 PACKAGE_ROOT = str(Path(tvcount.__file__).resolve().parents[1])
@@ -65,6 +69,18 @@ def test_count_degenerate_warning(capsys):
     code, out, _ = run_cli(capsys, "count", "--m", "1", "--n", "2", "--a", "2", "--b", "1", "--json")
     assert code == 0
     assert len(json.loads(out)["warnings"]) == 1
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2)])
+def test_count_sum_of_squares_warning(capsys, m, n):
+    # the only admissible tuples with a == b == 2, and the only zero counts
+    argv = ("count", "--m", str(m), "--n", str(n), "--a", "2", "--b", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, "0\n", f"warning: {SQUARES_WARNING}\n")
+
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["warnings"] == [SQUARES_WARNING]
 
 
 def test_count_invalid_problem_exits_2(capsys):
@@ -241,6 +257,100 @@ def test_transvect_exponent_bound_when_printing_is_unlimited(capsys):
         assert code == 1 and seconds < 1
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def str_digits():
+    """sys.set_int_max_str_digits for one test, the old limit restored after."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def chern_count(problem) -> int:
+    # the count as the Chern integral of gamma, a closed form that is fast
+    # where the count's kernel takes a minute
+    return integrate_chern_polynomial(problem, gamma_terms(problem.m + problem.n))
+
+
+def test_digit_estimate_is_the_digit_count_at_the_default_limit():
+    # (k, 2k+1, 2k+1, k): (510, ...) has exactly 4300 digits and prints,
+    # (511, ...) with 4309 is the smallest over the limit
+    digits = {}
+    for k in (*range(505, 525), 540):
+        digits[k] = math.floor(k * math.log10(2 * k + 1) + (2 * k + 1) * math.log10(k)) + 1
+        assert 10 ** (digits[k] - 1) <= chern_count(validate(k, 2 * k + 1, 2 * k + 1, k)) < 10 ** digits[k], k
+    assert (digits[510], digits[511], digits[520], digits[540]) == (4300, 4309, 4397, 4592)
+
+
+def not_computed(problem):
+    raise AssertionError(f"{problem} was computed")
+
+
+@needs_str_digits_limit
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+@pytest.mark.parametrize("k", [511, 540])
+def test_count_over_the_digit_limit_exits_2_before_computing(capsys, str_digits, monkeypatch, extra, k):
+    str_digits(DEFAULT_MAX_DIGITS)
+    monkeypatch.setattr(cli, "degree_of_power_sum_locus", not_computed)
+    argv = ("count", "--m", str(k), "--n", str(2 * k + 1), "--a", str(2 * k + 1), "--b", str(k), *extra)
+    code, out, err, seconds = timed_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "more than 4300 digits" in err
+    assert seconds < 1
+
+
+@needs_str_digits_limit
+def test_count_at_the_default_digit_limit_is_computed(str_digits):
+    str_digits(DEFAULT_MAX_DIGITS)
+    assert cli._too_long(validate(510, 1021, 1021, 510)) is None
+
+
+# (104, 209, 209, 104) has 663 digits and floor(m log10 a + n log10 b) = 662
+BOUNDARY = (104, 209, 209, 104)
+BOUNDARY_ARGV = ("count", "--m", "104", "--n", "209", "--a", "209", "--b", "104")
+
+
+@needs_str_digits_limit
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_count_digit_limit_boundary(capsys, str_digits, monkeypatch, extra):
+    str_digits(663)
+    code, out, _, seconds = timed_cli(capsys, *BOUNDARY_ARGV, *extra)
+    assert code == 0 and seconds < 1
+    if extra:
+        out = json.loads(out)["result"]["degree"] + "\n"
+    assert len(out) == 664
+
+    # refused once computed: the estimate leaves it to the bit length
+    str_digits(662)
+    code, out, err, seconds = timed_cli(capsys, *BOUNDARY_ARGV, *extra)
+    assert (code, out) == (2, "") and seconds < 1
+    assert err.count("\n") == 1 and "more than 662 digits" in err
+
+    # refused before computing
+    str_digits(661)
+    monkeypatch.setattr(cli, "degree_of_power_sum_locus", not_computed)
+    code, out, err, seconds = timed_cli(capsys, *BOUNDARY_ARGV, *extra)
+    assert (code, out) == (2, "") and seconds < 1
+    assert err.count("\n") == 1 and "more than 661 digits" in err
+
+
+@needs_str_digits_limit
+def test_table_digit_limit(capsys, str_digits, monkeypatch):
+    # admissible_tuples reaches 640 digits, the lowest limit Python allows,
+    # only at d in the thousands, so the table is given its rows here
+    monkeypatch.setattr(cli, "admissible_tuples", lambda _: [validate(2, 3, 3, 2), validate(*BOUNDARY)])
+    str_digits(663)
+    code, out, _, seconds = timed_cli(capsys, "table", "--max-d", "0", "--csv")
+    assert code == 0 and seconds < 1
+    assert out.splitlines()[1] == "6,3,2,2,3,1,40" and len(out.splitlines()[2].split(",")[-1]) == 663
+    for limit in (662, 661):
+        str_digits(limit)
+        if limit == 661:  # refused before computing
+            monkeypatch.setattr(cli, "degree_of_power_sum_locus", not_computed)
+        code, out, err, seconds = timed_cli(capsys, "table", "--max-d", "0", "--csv")
+        assert (code, out) == (2, "") and seconds < 1
+        assert err.count("\n") == 1 and f"(m,n,a,b)=(104,209,209,104) has more than {limit} digits" in err
 
 
 def test_transvect_degree_zero_exit_2(capsys):

@@ -2,7 +2,7 @@
 integration, fixed-point weights, and the independent sympy and ring-route
 cross-checks."""
 
-import math
+import random
 
 import pytest
 
@@ -17,7 +17,7 @@ from tvcount import (
     integrate_chern_polynomial,
     validate,
 )
-from .helpers import all_admissible, ring_route_count, segre_class
+from .helpers import all_admissible, gamma_terms, horner_chern_integral, ring_route_count, segre_class
 from .sympy_reference import sympy_count
 
 
@@ -119,14 +119,6 @@ def test_degree_matches_sympy_reference():
 # -- integrate_chern_polynomial ---------------------------------------------------------
 
 
-def gamma_terms(deg):
-    terms = []
-    for j in range(deg // 2 + 1):
-        i = deg - 2 * j
-        terms.append(((-1) ** (i + j) * math.comb(i + j, i), i, j))
-    return terms
-
-
 def test_chern_polynomial_recovers_count():
     problem = validate(2, 3, 3, 2)
     assert integrate_chern_polynomial(problem, gamma_terms(5)) == 40
@@ -136,6 +128,37 @@ def test_chern_polynomial_zero():
     problem = validate(2, 3, 3, 2)
     assert integrate_chern_polynomial(problem, []) == 0
     assert integrate_chern_polynomial(problem, [(0, 5, 0)]) == 0
+
+
+# beyond admissible_tuples: degenerate (a or b = 1), m = n, and a == b == 2
+CHERN_EXTRA_TUPLES = ((1, 5, 5, 1), (2, 6, 3, 1), (1, 1, 1, 1), (1, 2, 4, 2), (2, 2, 3, 3), (2, 4, 4, 2), (1, 1, 2, 2), (2, 2, 2, 2))
+
+
+def test_chern_polynomial_matches_horner_oracle():
+    rng = random.Random(6)
+    problems = admissible_tuples(60) + [validate(*t) for t in CHERN_EXTRA_TUPLES]
+    for problem in problems:
+        deg = problem.m + problem.n
+        # zeros, small values and 10^6-sized values, one coefficient per s2 power
+        coeffs = [rng.choice((0, rng.randint(-9, 9), rng.randint(-10**6, 10**6))) for _ in range(deg // 2 + 1)]
+        terms = [(c, deg - 2 * e2, e2) for e2, c in enumerate(coeffs)]
+        assert integrate_chern_polynomial(problem, terms) == horner_chern_integral(problem, terms), problem
+
+
+def test_chern_polynomial_of_gamma_is_the_count():
+    # gamma written in s1, s2 carries the gcd-2 excess through the Chern
+    # integral's L_ij, the count through beta's subtracted terms
+    for problem in admissible_tuples(40):
+        deg = problem.m + problem.n
+        assert integrate_chern_polynomial(problem, gamma_terms(deg)) == degree_of_power_sum_locus(problem), problem
+
+
+def test_chern_polynomial_rejects_non_integers():
+    problem = validate(2, 3, 3, 2)
+    for bad in ((2.5, 5, 0), (1, 5.9, 0), (True, 5, 0), ("3", 5, 0), (1, 3, None)):
+        with pytest.raises(ValueError, match="must be integers: term"):
+            integrate_chern_polynomial(problem, [bad])
+    assert integrate_chern_polynomial(problem, [(3.0, 5.0, 0)]) == integrate_chern_polynomial(problem, [(3, 5, 0)])
 
 
 def test_chern_polynomial_degree_gate():
