@@ -152,14 +152,19 @@ def admissible_tuples(max_d: int) -> list[PowerSumProblem]:
     """All problems with d <= max_d, a >= 2, b >= 2, a | d, b | d and
     gcd(d/a, d/b) in {1, 2}, deduplicated under (a, b) <-> (b, a) by keeping
     the representative with a >= b (so m <= n), sorted by (d, a, b)."""
+    max_d = int(max_d)
+    # the divisors >= 2 of every d <= max_d, ascending, sieved in one sweep
+    divisors_of: list[list[int]] = [[] for _ in range(max_d + 1)]
+    for a in range(2, max_d + 1):
+        for d in range(a, max_d + 1, a):
+            divisors_of[d].append(a)
     out = []
-    for d in range(1, int(max_d) + 1):
-        divisors = [a for a in range(2, d + 1) if d % a == 0]
+    # d, then a, then b ascending: already the (d, a, b) order
+    for d, divisors in enumerate(divisors_of):
         for a in divisors:
             for b in divisors:
                 if b > a:
                     break
                 if math.gcd(d // a, d // b) <= 2:
                     out.append(PowerSumProblem(m=d // a, n=d // b, a=a, b=b, d=d))
-    out.sort(key=lambda p: (p.d, p.a, p.b))
     return out

@@ -12,6 +12,7 @@ no stored coefficient is zero, and no stored exponent exceeds its cap.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from operator import sub
 
 from ._frozen import Frozen
 
@@ -205,11 +206,7 @@ class TruncatedPolynomial:
             # product can only land on the top monomial, so pair each term of
             # the smaller factor with its complement in the other
             get = b.get
-            total = 0
-            for ea, ca in a.items():
-                cb = get(tuple(cap - u for cap, u in zip(caps, ea)))
-                if cb is not None:
-                    total += ca * cb
+            total = sum(ca * get(tuple(map(sub, caps, ea)), 0) for ea, ca in a.items())
             return TruncatedPolynomial._from_clean(self.spec, {caps: total} if total else {})
         out: dict[tuple[int, ...], int] = {}
         get = out.get
@@ -309,7 +306,7 @@ class TruncatedPolynomial:
 
 def _is_homogeneous(terms: Mapping[tuple[int, ...], int]) -> bool:
     """True when every exponent vector in ``terms`` has the same total degree."""
-    return len({sum(e) for e in terms}) <= 1
+    return len(set(map(sum, terms))) <= 1
 
 
 def geometric_inverse(u: TruncatedPolynomial, up_to_degree: int | None = None) -> TruncatedPolynomial:

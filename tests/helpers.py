@@ -1,6 +1,7 @@
 """Shared test utilities: random exact-rational forms, admissible problem
-enumeration, structural-coefficient extraction for the transvectant, its
-derivative route, and the ring route for the gamma and beta classes: the
+enumeration and a brute-force oracle for admissible_tuples,
+structural-coefficient extraction for the transvectant, its derivative
+route, and the ring route for the gamma and beta classes: the
 recurrence, geometric-series, multinomial and explicit-sum forms, built with
 generic ring arithmetic instead of the count's closed forms, and the Horner
 route for the Chern integral."""
@@ -42,6 +43,22 @@ def all_admissible(max_d: int):
                     continue
                 seen.add((d, m, n))
                 out.append(validate(m, n, d // m, d // n))
+    return out
+
+
+def brute_force_admissible(max_d: int) -> list[tuple[int, int, int, int, int]]:
+    """admissible_tuples(max_d) as (d, a, b, m, n) rows, by the docstring's
+    conditions tried on every d, a and b: a >= 2, b >= 2, a | d, b | d,
+    gcd(d/a, d/b) in {1, 2}, the a >= b representative of each swapped pair,
+    in (d, a, b) order."""
+    out = []
+    for d in range(1, max_d + 1):
+        for a in range(2, d + 1):
+            if d % a:
+                continue
+            for b in range(2, a + 1):
+                if d % b == 0 and math.gcd(d // a, d // b) in (1, 2):
+                    out.append((d, a, b, d // a, d // b))
     return out
 
 

@@ -397,6 +397,46 @@ def test_table_deterministic_and_thread_capped(capsys, monkeypatch):
     assert "TVCOUNT_THREADS" in err
 
 
+@pytest.fixture
+def pool_map_calls(monkeypatch):
+    """The keyword arguments of every ProcessPoolExecutor.map call; the calls
+    still run."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    calls = []
+    original = ProcessPoolExecutor.map
+
+    def recording_map(self, fn, *iterables, **kwargs):
+        calls.append(kwargs)
+        return original(self, fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", recording_map)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "max_d, threads, rows, chunksize",
+    [
+        # 210 rows in chunks of 27: the last chunk is short
+        ("40", "2", 210, 27),
+        # 11 rows, fewer than 4 * 3 workers: chunks of one row
+        ("6", "3", 11, 1),
+    ],
+)
+def test_table_pool_chunks_rows_and_keeps_output(capsys, monkeypatch, pool_map_calls, max_d, threads, rows, chunksize):
+    monkeypatch.delenv("TVCOUNT_THREADS", raising=False)
+    code, serial_out, _ = run_cli(capsys, "table", "--max-d", max_d, "--csv")
+    assert code == 0
+    assert len(serial_out.splitlines()) == rows + 1
+    assert pool_map_calls == []
+
+    monkeypatch.setenv("TVCOUNT_THREADS", threads)
+    code, pooled_out, _ = run_cli(capsys, "table", "--max-d", max_d, "--csv")
+    assert code == 0
+    assert pool_map_calls == [{"chunksize": chunksize}]
+    assert pooled_out == serial_out
+
+
 # -- selftest ----------------------------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from tvcount import (
     integrate_chern_polynomial,
     validate,
 )
-from .helpers import all_admissible, gamma_terms, horner_chern_integral, ring_route_count, segre_class
+from .helpers import all_admissible, brute_force_admissible, gamma_terms, horner_chern_integral, ring_route_count, segre_class
 from .sympy_reference import sympy_count
 
 
@@ -241,3 +241,9 @@ def test_admissible_tuples_filters_and_order():
 
 def test_admissible_tuples_empty_below_two():
     assert admissible_tuples(1) == []
+
+
+def test_admissible_tuples_match_brute_force():
+    for max_d in (*range(61), 300):
+        rows = [(p.d, p.a, p.b, p.m, p.n) for p in admissible_tuples(max_d)]
+        assert rows == brute_force_admissible(max_d), max_d

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from tvcount import RingSpec, TruncatedPolynomial, geometric_inverse
+from tvcount.ring import _is_homogeneous
 
 
 def rand_poly(rng: random.Random, spec: RingSpec, density: float = 0.4) -> TruncatedPolynomial:
@@ -136,7 +137,19 @@ def naive_product(p: TruncatedPolynomial, q: TruncatedPolynomial) -> TruncatedPo
     return TruncatedPolynomial(p.spec, out)
 
 
-PAIRING_CAPS = ((2, 3), (1, 1, 2), (3, 4, 5), (2, 2, 2, 1), (4,))
+PAIRING_CAPS = (
+    (2, 3),
+    (1, 1, 2),
+    (3, 4, 5),
+    (2, 2, 2, 1),
+    (1, 2, 1, 3),
+    (3, 1, 2, 2),
+    (2, 0, 1, 1),
+    (4,),
+    (7,),
+    (1,),
+    (0,),
+)
 
 
 def test_top_degree_pairing_matches_general_loop():
@@ -145,15 +158,45 @@ def test_top_degree_pairing_matches_general_loop():
         spec = RingSpec(caps)
         top = spec.top_degree
         for _ in range(20):
-            da = rng.randint(1, top - 1)
+            da = rng.randint(0, top)
             a, b = rand_homogeneous(rng, spec, da), rand_homogeneous(rng, spec, top - da)
             product = a * b
             assert set(product.terms) <= {spec.caps}
             assert product == b * a == naive_product(a, b)
-            # b + 1 is inhomogeneous, which sends the product through the general loop
+            # b + 1 is inhomogeneous unless b is a constant, which sends the
+            # product through the general loop
             general = a * (b + 1)
             assert general == naive_product(a, b + 1)
-            assert product.integrate() == general.integrate()
+            assert general - a == product
+
+
+def test_top_degree_pairing_misses_absent_complements():
+    # four variables: no term of b is the complement of a's only term
+    spec = RingSpec((1, 2, 1, 3))
+    a = spec.monomial((1, 1, 0, 0), 5)
+    b = spec.monomial((1, 0, 1, 3), 7) + spec.monomial((0, 2, 1, 2), 3)
+    assert (a * b).is_zero
+    assert (a * (b + spec.monomial((0, 1, 1, 3), 2))).terms == {spec.caps: 10}
+
+
+def test_inhomogeneous_factor_with_complementary_first_term_takes_general_loop():
+    # b's first term complements a, its second does not lie in the top degree
+    for caps in ((1, 1, 1), (1, 2, 1, 3)):
+        spec = RingSpec(caps)
+        zero = (0,) * spec.nvars
+        a = spec.monomial((1,) + zero[1:], 2)
+        rest = tuple(caps[1:])
+        b = TruncatedPolynomial(spec, {(0,) + rest: 3, (0, 1) + zero[2:]: 5})
+        assert a * b == naive_product(a, b)
+        assert (a * b).terms == {spec.caps: 6, (1, 1) + zero[2:]: 10}
+
+
+def test_is_homogeneous():
+    assert _is_homogeneous({})
+    assert _is_homogeneous({(0,): 4})
+    assert _is_homogeneous({(1, 0, 2): 1, (0, 3, 0): -2, (3, 0, 0): 5})
+    assert not _is_homogeneous({(1, 0): 1, (1, 1): 1})
+    assert not _is_homogeneous({(2, 0, 0, 1): 1, (0, 0, 0, 3): 2, (1, 0, 0, 0): 1})
 
 
 def test_homogeneous_products_off_the_top_degree_unchanged():
