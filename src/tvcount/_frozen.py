@@ -1,11 +1,41 @@
-"""Base class for the package's small immutable value types.
+"""The package's integer gate and the base class of its small immutable
+value types.
 
-It gives a slotted class what ``@dataclass(frozen=True)`` gave it, without
-importing ``dataclasses`` (which pulls in ``inspect``, ``ast`` and ``dis``)
-at every start of the command-line tool.
+``integer`` is the one rule by which every public function reads an integer
+from its caller.  ``Frozen`` gives a slotted class what
+``@dataclass(frozen=True)`` gave it, without importing ``dataclasses``
+(which pulls in ``inspect``, ``ast`` and ``dis``) at every start of the
+command-line tool.
 """
 
 from __future__ import annotations
+
+
+def integral(value) -> int | None:
+    """``value`` as an exact int if it is integral and not a bool, else
+    None: 3 and 3.0 pass; True, 2.5 and "3" do not."""
+    if value.__class__ is int:
+        return value
+    if isinstance(value, bool):
+        return None
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == value else None
+
+
+_KINDS = {1: "a positive", 0: "a nonnegative", None: "an"}
+
+
+def integer(name: str, value, low: int | None = 0) -> int:
+    """``value`` as an exact int no smaller than ``low``: 1, 0 or None for
+    no bound.  Integral values such as 3.0 pass; bools, non-integral values,
+    strings and values below ``low`` raise ValueError naming ``name``."""
+    as_int = value if value.__class__ is int else integral(value)
+    if as_int is None or low is not None and as_int < low:
+        raise ValueError(f"{name} must be {_KINDS[low]} integer, got {value!r}")
+    return as_int
 
 
 class Frozen:

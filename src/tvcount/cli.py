@@ -17,7 +17,8 @@ import math
 import os
 import sys
 
-from .counting import admissible_tuples, degree_of_power_sum_locus, positive_integer, validate
+from ._frozen import integer
+from .counting import admissible_tuples, degree_of_power_sum_locus, validate
 from .cycles import PowerSumProblem, beta_pushforward
 
 EXIT_OK = 0
@@ -77,12 +78,12 @@ def cmd_count(args) -> int:
         if args.m is not None or args.n is not None:
             return _fail("give either --m/--n or --d, not both", EXIT_USAGE)
         try:
-            a, b = positive_integer("a", args.a), positive_integer("b", args.b)
+            d, a, b = integer("d", args.d, 1), integer("a", args.a, 1), integer("b", args.b, 1)
         except ValueError as exc:
             return _fail(str(exc), EXIT_INVALID)
-        if args.d % a or args.d % b:
-            return _fail(f"d = {args.d} is not divisible by both a = {a} and b = {b}", EXIT_INVALID)
-        m, n = args.d // a, args.d // b
+        if d % a or d % b:
+            return _fail(f"d = {d} is not divisible by both a = {a} and b = {b}", EXIT_INVALID)
+        m, n = d // a, d // b
     else:
         if args.m is None or args.n is None:
             return _fail("need --m and --n (or --d)", EXIT_USAGE)
@@ -234,7 +235,10 @@ def _worker_cap(n_jobs: int) -> int:
 
 
 def cmd_table(args) -> int:
-    problems = admissible_tuples(args.max_d)
+    try:
+        problems = admissible_tuples(args.max_d)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INVALID)
     for problem in problems:
         if too_long := _too_long(problem):
             return _fail(too_long, EXIT_INVALID)
@@ -256,7 +260,6 @@ def cmd_table(args) -> int:
     for problem, row in zip(problems, rows):
         if too_long := _too_long(problem, row[-1]):
             return _fail(too_long, EXIT_INVALID)
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
     header = ("d", "a", "b", "m", "n", "gcd", "degree")
     if args.csv:
@@ -317,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rows cover a >= 2, b >= 2, a | d, b | d with gcd(d/a, d/b) in {1, 2}, "
         "deduplicated under (a, b) <-> (b, a) since the count is symmetric; "
         "TVCOUNT_THREADS=N evaluates rows in N worker processes (unset, 0 or 1 = serial), "
-        "about 4 chunks of rows per worker. Whole processes on 2 vCPUs, serial against 2 "
-        "workers: 0.115 s against 0.175 s at --max-d 40, 0.226 s against 0.252 s at 120, "
-        "0.441 s against 0.370 s at 200; the pool pays only on large tables.",
+        "about 4 chunks of rows per worker.",
     )
     p_table.add_argument("--max-d", type=int, required=True, dest="max_d")
     p_table.add_argument("--csv", action="store_true", help="emit CSV (d,a,b,m,n,gcd,degree)")

@@ -6,46 +6,24 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from ._frozen import Frozen
+from ._frozen import Frozen, integer, integral
 from .cycles import PowerSumProblem, beta_pushforward, gamma_class, gcd2_excess
 
 
 def validate(m: int, n: int, a: int, b: int) -> PowerSumProblem:
-    """Build the PowerSumProblem for raw input: take each value as a positive
-    int (integral values such as 3.0 are accepted; bools and non-integral
-    values are rejected), normalize to m <= n by swapping (m, a) with (n, b),
-    which leaves the count invariant, and let PowerSumProblem check am == bn
-    and gcd(m, n) <= 2.
+    """Build the PowerSumProblem for raw input: read each value as a positive
+    int through the integer gate, normalize to m <= n by swapping (m, a) with
+    (n, b), which leaves the count invariant, and let PowerSumProblem check
+    am == bn and gcd(m, n) <= 2.
 
     Degenerate problems (a == 1 or b == 1) are accepted; callers can surface
     PowerSumProblem.degenerate as a warning.
     """
     # checked before the swap, so a message names the caller's argument
-    m, n, a, b = (positive_integer(name, v) for name, v in (("m", m), ("n", n), ("a", a), ("b", b)))
+    m, n, a, b = integer("m", m, 1), integer("n", n, 1), integer("a", a, 1), integer("b", b, 1)
     if m > n:
         m, n, a, b = n, m, b, a
     return PowerSumProblem(m=m, n=n, a=a, b=b, d=a * m)
-
-
-def _integral(value) -> int | None:
-    """``value`` as an int if it is integral and not a bool (3.0 passes)."""
-    if not isinstance(value, bool):
-        try:
-            as_int = int(value)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if as_int == value:
-            return as_int
-    return None
-
-
-def positive_integer(name: str, value) -> int:
-    """``value`` as a positive int; integral values such as 3.0 pass, bools,
-    non-integral and non-positive values raise ValueError naming ``name``."""
-    as_int = _integral(value)
-    if as_int is None or as_int < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return as_int
 
 
 def degree_of_power_sum_locus(problem: PowerSumProblem) -> int:
@@ -80,7 +58,7 @@ def integrate_chern_polynomial(
     deg = m + n
     coeffs = [0] * max(deg // 2 + 1, 3)
     for raw in terms:
-        c, e1, e2 = term = [_integral(v) for v in raw]
+        c, e1, e2 = term = [integral(v) for v in raw]
         if None in term:
             raise ValueError(f"Chern polynomial terms must be integers: term (coeff, e1, e2) = {tuple(raw)!r}")
         if e1 < 0 or e2 < 0 or e1 + 2 * e2 != deg:
@@ -113,8 +91,8 @@ class WeightPair(Frozen):
     w2: int
 
     def __init__(self, w1: int, w2: int) -> None:
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
+        object.__setattr__(self, "w1", integer("w1", w1, None))
+        object.__setattr__(self, "w2", integer("w2", w2, None))
 
     def _fields(self) -> tuple:
         return (self.w1, self.w2)
@@ -142,8 +120,8 @@ def fixed_point_weights(problem: PowerSumProblem, i: int, j: int, k: int) -> Wei
     2bj - d.
     """
     m, n, a, b, d = problem.m, problem.n, problem.a, problem.b, problem.d
-    i, j, k = int(i), int(j), int(k)
-    if not (0 <= i <= m and 0 <= j <= n and 0 <= k <= m + n - 2):
+    i, j, k = integer("i", i), integer("j", j), integer("k", k)
+    if i > m or j > n or k > m + n - 2:
         raise ValueError(f"fixed-point indices out of range: (i, j, k) = ({i}, {j}, {k})")
     return WeightPair(2 * a * i - d, (2 * b * j - d) + 2 * k - 2 * i - 2 * j + 2)
 
@@ -152,7 +130,7 @@ def admissible_tuples(max_d: int) -> list[PowerSumProblem]:
     """All problems with d <= max_d, a >= 2, b >= 2, a | d, b | d and
     gcd(d/a, d/b) in {1, 2}, deduplicated under (a, b) <-> (b, a) by keeping
     the representative with a >= b (so m <= n), sorted by (d, a, b)."""
-    max_d = int(max_d)
+    max_d = integer("max_d", max_d)
     # the divisors >= 2 of every d <= max_d, ascending, sieved in one sweep
     divisors_of: list[list[int]] = [[] for _ in range(max_d + 1)]
     for a in range(2, max_d + 1):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from ._frozen import Frozen
+from ._frozen import Frozen, integer
 from .ring import RingSpec, TruncatedPolynomial, geometric_inverse
 
 
@@ -74,9 +74,7 @@ def blowup_class_S(r: int, spec: RingSpec | None = None) -> TruncatedPolynomial:
     Equals the closed sum lam^(r-1) + lam^(r-2)*zeta + ... + zeta^(r-1).
     Variables: (lam, zeta) = spec.variables(); default caps (r-1, r-1).
     """
-    r = int(r)
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    r = integer("r", r, 1)
     spec = _two_var_spec(r - 1, spec)
     lam, zeta = spec.variables()
     series = geometric_inverse(lam - zeta)
@@ -87,15 +85,10 @@ def top_chern_class_T(r: int, spec: RingSpec | None = None) -> TruncatedPolynomi
     """Top Chern class term [(1+lam)^(r+1) / (1+lam-zeta)]_r of the rank-r
     bundle cut out by r+1 sections, before the excess-component subtraction.
 
-    Coincides with blowup_class_S(r+1) read one degree up.
+    This is blowup_class_S(r+1), the same series one degree up.  r >= 1 is
+    checked here: S at r + 1 = 1 would accept r = 0.
     """
-    r = int(r)
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    spec = _two_var_spec(r, spec)
-    lam, zeta = spec.variables()
-    series = geometric_inverse(lam - zeta)
-    return ((1 + lam) ** (r + 1) * series).homogeneous_part(r)
+    return blowup_class_S(integer("r", r, 1) + 1, spec)
 
 
 def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:
@@ -115,9 +108,7 @@ def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:
     that is homogeneous of degree m+n-2 with exponents within caps, and it
     reproduces the classical counts 3762 and 626327.
     """
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    m, n = integer("m", m, 1), integer("n", n, 1)
     if m > n:
         raise ValueError(f"need m <= n, got ({m}, {n}); normalize first")
     g = math.gcd(m, n)

@@ -16,6 +16,8 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, lcm
 
+from ._frozen import integer
+
 Rationalish = int | str | Fraction
 
 
@@ -25,9 +27,7 @@ class BinaryForm:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs: Iterable[Rationalish]):
-        degree = int(degree)
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
+        degree = integer("degree", degree)
         cs = tuple(Fraction(c) for c in coeffs)
         if len(cs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients, got {len(cs)}")
@@ -44,13 +44,13 @@ class BinaryForm:
 
     @classmethod
     def zero(cls, degree: int) -> "BinaryForm":
-        return cls(degree, [0] * (degree + 1))
+        return cls(degree, [0] * (integer("degree", degree) + 1))
 
     @classmethod
     def from_binomial(cls, degree: int, values: Iterable[Rationalish]) -> "BinaryForm":
         """Build from binomially weighted coordinates: c_i = C(e, i) * f_i."""
-        vals = list(values)
-        return cls(degree, [comb(int(degree), i) * Fraction(v) for i, v in enumerate(vals)])
+        degree = integer("degree", degree)
+        return cls(degree, [comb(degree, i) * Fraction(v) for i, v in enumerate(values)])
 
     def binomial_coefficients(self) -> tuple[Fraction, ...]:
         """The binomially weighted view f_i = c_i / C(e, i); exact and bijective."""
@@ -110,11 +110,8 @@ class BinaryForm:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        k = int(k)
-        if k < 0:
-            raise ValueError("negative power of a binary form")
         result = BinaryForm(0, [1])
-        for _ in range(k):
+        for _ in range(integer("k", k)):
             result = result * self
         return result
 
@@ -195,9 +192,7 @@ def transvectant_support(m: int, n: int, k: int) -> set[tuple[int, int]]:
     """Index pairs (i, j) with i + j = k + 1 that may carry a monomial
     f_i * g_j in the k-th coefficient of {f, g} (binomial view of f and g,
     plain basis of the output)."""
-    m, n, k = int(m), int(n), int(k)
-    if m < 1 or n < 1:
-        raise ValueError("both degrees must be at least 1")
-    if k < 0 or k > m + n - 2:
+    m, n, k = integer("m", m, 1), integer("n", n, 1), integer("k", k)
+    if k > m + n - 2:
         raise ValueError(f"k out of range: need 0 <= k <= {m + n - 2}, got {k}")
     return {(i, k + 1 - i) for i in range(0, m + 1) if 0 <= k + 1 - i <= n}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from operator import sub
 
-from ._frozen import Frozen
+from ._frozen import Frozen, integer
 
 
 class RingSpec(Frozen):
@@ -28,11 +28,9 @@ class RingSpec(Frozen):
     caps: tuple[int, ...]
 
     def __init__(self, caps: Iterable[int]) -> None:
-        caps = tuple(int(c) for c in caps)
+        caps = tuple(integer("caps", c) for c in caps)
         if len(caps) == 0:
             raise ValueError("RingSpec needs at least one variable")
-        if any(c < 0 for c in caps):
-            raise ValueError(f"caps must be nonnegative, got {caps}")
         object.__setattr__(self, "caps", caps)
 
     def _fields(self) -> tuple:
@@ -54,21 +52,24 @@ class RingSpec(Frozen):
 
     def variable(self, index: int) -> "TruncatedPolynomial":
         exps = [0] * self.nvars
-        exps[index] = 1
+        exps[integer("index", index)] = 1
         return self.monomial(exps, 1)
 
     def variables(self) -> list["TruncatedPolynomial"]:
         return [self.variable(i) for i in range(self.nvars)]
 
+    def _exponent_vector(self, exponents: Iterable[int]) -> tuple[int, ...]:
+        """``exponents`` as a tuple of nvars nonnegative ints, or ValueError."""
+        exps = tuple(integer("exponents", e) for e in exponents)
+        if len(exps) != self.nvars:
+            raise ValueError(f"expected {self.nvars} exponents, got {len(exps)}")
+        return exps
+
     def monomial(self, exponents: Iterable[int], coeff: int = 1) -> "TruncatedPolynomial":
         """Single-term polynomial coeff * z^exponents; zero if any exponent
         exceeds its cap or coeff == 0."""
-        exps = tuple(int(e) for e in exponents)
-        if len(exps) != self.nvars:
-            raise ValueError(f"expected {self.nvars} exponents, got {len(exps)}")
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        coeff = int(coeff)
+        exps = self._exponent_vector(exponents)
+        coeff = integer("coeff", coeff, None)
         if coeff == 0 or any(e > c for e, c in zip(exps, self.caps)):
             return self.zero()
         return TruncatedPolynomial._from_clean(self, {exps: coeff})
@@ -86,15 +87,10 @@ class TruncatedPolynomial:
 
     def __init__(self, spec: RingSpec, terms: Mapping[tuple[int, ...], int]):
         caps = spec.caps
-        k = spec.nvars
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in terms.items():
-            e = tuple(int(v) for v in exps)
-            if len(e) != k:
-                raise ValueError(f"expected {k} exponents, got {len(e)}")
-            if any(v < 0 for v in e):
-                raise ValueError(f"negative exponent in {e}")
-            c = int(coeff)
+            e = spec._exponent_vector(exps)
+            c = integer("coeff", coeff, None)
             if c == 0 or any(v > cap for v, cap in zip(e, caps)):
                 continue
             clean[e] = c
@@ -121,10 +117,7 @@ class TruncatedPolynomial:
 
     def coefficient(self, exponents: Iterable[int]) -> int:
         """Exact coefficient at the given exponent vector (0 if absent)."""
-        exps = tuple(int(e) for e in exponents)
-        if len(exps) != self.spec.nvars:
-            raise ValueError(f"expected {self.spec.nvars} exponents, got {len(exps)}")
-        return self.terms.get(exps, 0)
+        return self.terms.get(self.spec._exponent_vector(exponents), 0)
 
     def integrate(self) -> int:
         """Coefficient of the top monomial z1^c1 * ... * zk^ck (the degree
@@ -133,7 +126,7 @@ class TruncatedPolynomial:
 
     def homogeneous_part(self, degree: int) -> "TruncatedPolynomial":
         """Keep exactly the terms of the given total degree."""
-        degree = int(degree)
+        degree = integer("degree", degree, None)
         return TruncatedPolynomial._from_clean(
             self.spec, {e: c for e, c in self.terms.items() if sum(e) == degree}
         )
@@ -228,12 +221,9 @@ class TruncatedPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        exponent = int(exponent)
-        if exponent < 0:
-            raise ValueError("negative power in a truncated ring")
+        e = integer("exponent", exponent)
         result = self.spec.one()
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base
@@ -320,7 +310,7 @@ def geometric_inverse(u: TruncatedPolynomial, up_to_degree: int | None = None) -
     """
     if u.constant_term != 0:
         raise ValueError("geometric inverse requires a zero constant term")
-    limit = u.spec.top_degree if up_to_degree is None else int(up_to_degree)
+    limit = u.spec.top_degree if up_to_degree is None else integer("up_to_degree", up_to_degree)
     acc = u.spec.one()
     pw = u.spec.one()
     neg = -u

@@ -14,7 +14,7 @@ import tvcount
 from tvcount import cli, integrate_chern_polynomial, validate
 from tvcount.cli import DEFAULT_MAX_DIGITS, SQUARES_WARNING, main
 
-from .helpers import gamma_terms
+from .helpers import brute_force_admissible, gamma_terms
 
 # the src directory this tvcount was imported from, for subprocesses
 PACKAGE_ROOT = str(Path(tvcount.__file__).resolve().parents[1])
@@ -105,6 +105,19 @@ def test_count_zero_power_exits_2(capsys, power, argv):
     code, _, err = run_cli(capsys, "count", "--d", "6", *[v.replace("0", "-3") for v in argv])
     assert code == 2
     assert f"{power} must be a positive integer, got -3" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--d", "0", "--a", "2", "--b", "3"], "d must be a positive integer, got 0"),
+        (["count", "--d", "-6", "--a", "3", "--b", "2"], "d must be a positive integer, got -6"),
+        (["table", "--max-d", "-1"], "max_d must be a nonnegative integer, got -1"),
+    ],
+)
+def test_integer_option_below_its_bound_exits_2(capsys, argv, message):
+    # the message names the option given, not a value derived from it
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_count_usage_errors_exit_1(capsys):
@@ -257,6 +270,16 @@ def test_transvect_exponent_bound_when_printing_is_unlimited(capsys):
         assert code == 1 and seconds < 1
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_interpreter_without_str_digits_limit(capsys, monkeypatch):
+    # Python 3.10.0 to 3.10.6 have no sys.get_int_max_str_digits: counts
+    # print, and DEFAULT_MAX_DIGITS still bounds decimal exponents
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert run_cli(capsys, "count", "--m", "2", "--n", "3", "--a", "3", "--b", "2") == (0, "40\n", "")
+    code, out, err, seconds = timed_cli(capsys, "transvect", "--f", "1e10000000,1", "--g", "1,1")
+    assert (code, out) == (1, "")
+    assert f"exceeds {DEFAULT_MAX_DIGITS}" in err and seconds < 1
 
 
 @pytest.fixture
@@ -429,6 +452,10 @@ def test_table_pool_chunks_rows_and_keeps_output(capsys, monkeypatch, pool_map_c
     assert code == 0
     assert len(serial_out.splitlines()) == rows + 1
     assert pool_map_calls == []
+    # rows come in (d, a, b) order with no sort: admissible_tuples yields
+    # that order and the pool's map keeps it
+    order = [tuple(map(int, line.split(",")[:5])) for line in serial_out.splitlines()[1:]]
+    assert order == brute_force_admissible(int(max_d))
 
     monkeypatch.setenv("TVCOUNT_THREADS", threads)
     code, pooled_out, _ = run_cli(capsys, "table", "--max-d", max_d, "--csv")
