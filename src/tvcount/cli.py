@@ -61,15 +61,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def _count_payload(problem: PowerSumProblem, degree: int) -> dict:
-    return {
-        "m": problem.m,
-        "n": problem.n,
-        "a": problem.a,
-        "b": problem.b,
-        "d": problem.d,
-        "gcd": problem.gcd,
-        "degree": str(degree),
-    }
+    payload = {k: getattr(problem, k) for k in ("m", "n", "a", "b", "d", "gcd")}
+    return {**payload, "degree": str(degree)}
 
 
 def cmd_count(args) -> int:
@@ -209,15 +202,7 @@ def cmd_transvect(args) -> int:
 
 
 def _table_row(problem: PowerSumProblem) -> tuple[int, int, int, int, int, int, int]:
-    return (
-        problem.d,
-        problem.a,
-        problem.b,
-        problem.m,
-        problem.n,
-        problem.gcd,
-        degree_of_power_sum_locus(problem),
-    )
+    return (problem.d, problem.a, problem.b, problem.m, problem.n, problem.gcd, degree_of_power_sum_locus(problem))
 
 
 def _worker_cap(n_jobs: int) -> int:
@@ -229,9 +214,7 @@ def _worker_cap(n_jobs: int) -> int:
     except ValueError:
         print(f"warning: ignoring non-integer TVCOUNT_THREADS={raw!r}", file=sys.stderr)
         return 1
-    if cap <= 0:
-        return 1
-    return min(cap, n_jobs)
+    return max(1, min(cap, n_jobs))
 
 
 def cmd_table(args) -> int:
@@ -278,10 +261,8 @@ def cmd_selftest(args) -> int:
     failures = 0
     for m, n, a, b, expected in KNOWN_COUNTS:
         got = degree_of_power_sum_locus(validate(m, n, a, b))
-        status = "PASS" if got == expected else "FAIL"
-        if got != expected:
-            failures += 1
-        print(f"{status} (m,n,a,b)=({m},{n},{a},{b}): expected {expected}, got {got}")
+        failures += got != expected
+        print(f"{'PASS' if got == expected else 'FAIL'} (m,n,a,b)=({m},{n},{a},{b}): expected {expected}, got {got}")
     return EXIT_OK if failures == 0 else EXIT_SELFTEST
 
 

@@ -7,6 +7,7 @@ All classes live in the Chow ring of P^m x P^n x P^(m+n-2), i.e. caps
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from ._frozen import Frozen, integer
 from .ring import RingSpec, TruncatedPolynomial, geometric_inverse
@@ -54,6 +55,7 @@ class PowerSumProblem(Frozen):
 
 def ambient_spec(m: int, n: int) -> RingSpec:
     """Caps (m, n, m+n-2) of the ambient product of projective spaces."""
+    m, n = integer("m", m, 1), integer("n", n, 1)
     return RingSpec((m, n, m + n - 2))
 
 
@@ -98,7 +100,7 @@ def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:
     gcd(m, n) == 1:  sum_{i=0}^{m+n-2} (z1+z2)^i * z3^(m+n-2-i), which equals
     the series form [(1+z1+z2)^(m+n-1) / (1+z1+z2-z3)]_(m+n-2).  Its
     coefficient at z1^P z2^Q z3^(m+n-2-P-Q) is C(P+Q, P) for every P <= m,
-    Q <= n, P+Q <= m+n-2, and the terms are written down directly.
+    Q <= n, P+Q <= m+n-2; row P is the running sum of row P-1.
 
     gcd(m, n) == 2:  the same base class minus the excess contribution
     2^(m-2) * ((m/2)^2 z1^(m-2) z2^n + (m/2)(n/2) z1^(m-1) z2^(n-1)
@@ -108,27 +110,27 @@ def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:
     that is homogeneous of degree m+n-2 with exponents within caps, and it
     reproduces the classical counts 3762 and 626327.
     """
-    m, n = integer("m", m, 1), integer("n", n, 1)
+    spec = ambient_spec(m, n)
+    m, n, top = spec.caps
     if m > n:
         raise ValueError(f"need m <= n, got ({m}, {n}); normalize first")
     g = math.gcd(m, n)
     if g > 2:
         raise ValueError(f"unsupported gcd(m, n) = {g}; only 1 and 2 are supported")
 
-    top = m + n - 2
-    terms = {
-        (p, q, top - p - q): math.comb(p + q, p)
-        for p in range(m + 1)
-        for q in range(min(n, top - p) + 1)
-    }
+    terms = {}
+    row = [1] * (n + 1)  # C(p+q, p) for q = 0..min(n, top-p)
+    for p in range(m + 1):
+        del row[top - p + 1 :]
+        for q, c in enumerate(row):
+            terms[p, q, top - p - q] = c
+        row = list(accumulate(row))
     if g == 2:
         for exps, excess in zip(((m - 2, n, 0), (m - 1, n - 1, 0), (m, n - 2, 0)), gcd2_excess(m, n)):
-            left = terms[exps] - excess
-            if left:
-                terms[exps] = left
-            else:
+            terms[exps] -= excess
+            if not terms[exps]:
                 del terms[exps]
-    return TruncatedPolynomial._from_clean(ambient_spec(m, n), terms)
+    return TruncatedPolynomial._from_clean(spec, terms)
 
 
 def gcd2_excess(m: int, n: int) -> tuple[int, int, int]:
@@ -162,25 +164,26 @@ def gamma_class(problem: PowerSumProblem) -> TruncatedPolynomial:
     sum_i (a*z1)^i * (-z1 + (b-1)*z2 + z3)^(m+n-i).
 
     Its coefficient at z1^p z2^q z3^r (p+q+r = m+n, within the caps) is
-    (b-1)^q * C(q+r, q) * U_p, where
-    U_p = sum_(s=0..p) (-1)^s a^(p-s) C(m+n-p+s, s), and the terms are
-    written down directly; a and b-1 are read off the roots.
+    (b-1)^q * C(q+r, q) * U_p, where U_p = sum_(s=0..p) (-1)^s a^(p-s)
+    C(m+n-p+s, s) = (1+a) U_(p-1) + (-1)^p C(m+n+1, p), as sum_p U_p t^p is
+    (1-t)^(m+n+1) / (1-(1+a)t) up to t^m; a and b-1 are read off the roots.
     """
     x1, x2 = chern_roots(problem)
-    spec = x1.spec
-    m, n, cap3 = spec.caps
+    m, n, cap3 = x1.spec.caps
     deg = m + n
-    a = -x1.coefficient((1, 0, 0))
-    c = -x2.coefficient((0, 1, 0))  # b - 1
-    c_pows = [c**q for q in range(n + 1)]
+    a = -x1.terms[1, 0, 0]
+    c = -x2.terms.get((0, 1, 0), 0)  # b - 1
     terms = {}
+    u, signed_binom = 0, 1  # U_(p-1), then (-1)^p C(deg+1, p)
     for p in range(m + 1):
-        k = deg - p  # q + r
-        u = sum((-1) ** s * a ** (p - s) * math.comb(k + s, s) for s in range(p + 1))
+        u = (1 + a) * u + signed_binom
+        signed_binom = -signed_binom * (deg + 1 - p) // (p + 1)
         if not u:
             continue
-        for q in range(max(0, k - cap3), min(n, k) + 1):
-            coeff = c_pows[q] * math.comb(k, q) * u
-            if coeff:
-                terms[(p, q, k - q)] = coeff
-    return TruncatedPolynomial._from_clean(spec, terms)
+        k = deg - p  # q + r
+        coeff = u
+        for q in range(n + 1 if c else 1):  # at b = 1 only q = 0 survives
+            if k - q <= cap3:
+                terms[p, q, k - q] = coeff
+            coeff = coeff * (c * (k - q)) // (q + 1)
+    return TruncatedPolynomial._from_clean(x1.spec, terms)

@@ -103,9 +103,9 @@ class BinaryForm:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return BinaryForm(deg, out)
-        if isinstance(other, (int, Fraction)):
-            return BinaryForm(self.degree, [c * other for c in self.coeffs])
-        return NotImplemented
+        if other.__class__ is not int and not isinstance(other, Fraction):
+            other = integer("scalar", other, None)
+        return BinaryForm(self.degree, [c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 

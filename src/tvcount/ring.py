@@ -12,7 +12,8 @@ no stored coefficient is zero, and no stored exponent exceeds its cap.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from operator import sub
+from itertools import repeat
+from operator import le, mul, sub
 
 from ._frozen import Frozen, integer
 
@@ -51,12 +52,13 @@ class RingSpec(Frozen):
         return self.monomial((0,) * self.nvars, 1)
 
     def variable(self, index: int) -> "TruncatedPolynomial":
-        exps = [0] * self.nvars
-        exps[integer("index", index)] = 1
-        return self.monomial(exps, 1)
+        return self.variables()[integer("index", index)]
 
     def variables(self) -> list["TruncatedPolynomial"]:
-        return [self.variable(i) for i in range(self.nvars)]
+        # unit vectors need no gate; a variable whose cap is 0 is zero
+        zero = (0,) * self.nvars
+        units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(self.nvars)]
+        return [TruncatedPolynomial._from_clean(self, {e: 1} if cap else {}) for e, cap in zip(units, self.caps)]
 
     def _exponent_vector(self, exponents: Iterable[int]) -> tuple[int, ...]:
         """``exponents`` as a tuple of nvars nonnegative ints, or ValueError."""
@@ -68,11 +70,7 @@ class RingSpec(Frozen):
     def monomial(self, exponents: Iterable[int], coeff: int = 1) -> "TruncatedPolynomial":
         """Single-term polynomial coeff * z^exponents; zero if any exponent
         exceeds its cap or coeff == 0."""
-        exps = self._exponent_vector(exponents)
-        coeff = integer("coeff", coeff, None)
-        if coeff == 0 or any(e > c for e, c in zip(exps, self.caps)):
-            return self.zero()
-        return TruncatedPolynomial._from_clean(self, {exps: coeff})
+        return TruncatedPolynomial(self, {tuple(exponents): coeff})
 
 
 class TruncatedPolynomial:
@@ -86,16 +84,12 @@ class TruncatedPolynomial:
     __slots__ = ("spec", "terms")
 
     def __init__(self, spec: RingSpec, terms: Mapping[tuple[int, ...], int]):
-        caps = spec.caps
-        clean: dict[tuple[int, ...], int] = {}
-        for exps, coeff in terms.items():
-            e = spec._exponent_vector(exps)
-            c = integer("coeff", coeff, None)
-            if c == 0 or any(v > cap for v, cap in zip(e, caps)):
-                continue
-            clean[e] = c
         self.spec = spec
-        self.terms = clean
+        self.terms = {}
+        for exps, coeff in terms.items():
+            e, c = spec._exponent_vector(exps), integer("coeff", coeff, None)
+            if c and all(map(le, e, spec.caps)):
+                self.terms[e] = c
 
     @classmethod
     def _from_clean(cls, spec: RingSpec, terms: dict[tuple[int, ...], int]) -> "TruncatedPolynomial":
@@ -127,17 +121,13 @@ class TruncatedPolynomial:
     def homogeneous_part(self, degree: int) -> "TruncatedPolynomial":
         """Keep exactly the terms of the given total degree."""
         degree = integer("degree", degree, None)
-        return TruncatedPolynomial._from_clean(
-            self.spec, {e: c for e, c in self.terms.items() if sum(e) == degree}
-        )
+        return TruncatedPolynomial._from_clean(self.spec, {e: c for e, c in self.terms.items() if sum(e) == degree})
 
     def truncate_degree(self, limit: int) -> "TruncatedPolynomial":
         """Drop all terms of total degree above ``limit``."""
         if limit >= self.spec.top_degree:
             return self
-        return TruncatedPolynomial._from_clean(
-            self.spec, {e: c for e, c in self.terms.items() if sum(e) <= limit}
-        )
+        return TruncatedPolynomial._from_clean(self.spec, {e: c for e, c in self.terms.items() if sum(e) <= limit})
 
     def truncate(self, spec: RingSpec) -> "TruncatedPolynomial":
         """Image of this polynomial in a ring with (typically smaller) caps."""
@@ -150,10 +140,9 @@ class TruncatedPolynomial:
             raise ValueError("mismatched RingSpec")
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, TruncatedPolynomial):
+            # a scalar, which monomial gates
             other = self.spec.monomial((0,) * self.spec.nvars, other)
-        elif not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
         self._check_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -170,37 +159,36 @@ class TruncatedPolynomial:
         return TruncatedPolynomial._from_clean(self.spec, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return self + (-other)
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
+        if not isinstance(other, TruncatedPolynomial) and other.__class__ is not int:
+            # gated first: -True is an int
+            other = integer("coeff", other, None)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, TruncatedPolynomial):
+            if other.__class__ is not int:
+                other = integer("coeff", other, None)
             if other == 0:
                 return self.spec.zero()
-            return TruncatedPolynomial._from_clean(
-                self.spec, {e: c * other for e, c in self.terms.items()}
-            )
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
+            return TruncatedPolynomial._from_clean(self.spec, {e: c * other for e, c in self.terms.items()})
         self._check_ring(other)
         caps = self.spec.caps
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         top = self.spec.top_degree
-        if a and sum(next(iter(a))) + sum(next(iter(b))) == top and _is_homogeneous(a) and _is_homogeneous(b):
-            # homogeneous factors of complementary degree: within the caps the
-            # product can only land on the top monomial, so pair each term of
-            # the smaller factor with its complement in the other
-            get = b.get
-            total = sum(ca * get(tuple(map(sub, caps, ea)), 0) for ea, ca in a.items())
-            return TruncatedPolynomial._from_clean(self.spec, {caps: total} if total else {})
+        if a and sum(next(iter(a))) + sum(next(iter(b))) == top and _is_homogeneous(a):
+            # homogeneous factors of complementary degree meet only in the top
+            # monomial: pair each term of a with its complement in b, built a
+            # variable at a time; if every term of b is one, b is homogeneous
+            cols = [map(sub, repeat(cap), col) for cap, col in zip(caps, zip(*a))]
+            partners = list(map(b.get, zip(*cols), repeat(0)))
+            if len(partners) - partners.count(0) == len(b) or _is_homogeneous(b):
+                total = sum(map(mul, a.values(), partners))
+                return TruncatedPolynomial._from_clean(self.spec, {caps: total} if total else {})
         out: dict[tuple[int, ...], int] = {}
         get = out.get
         for ea, ca in a.items():
@@ -253,11 +241,8 @@ class TruncatedPolynomial:
         parts = []
         for exps, coeff in self.sorted_terms():
             factors = [power(names[i], e) for i, e in enumerate(exps) if e]
-            if not factors:
-                body = str(abs(coeff))
-            else:
-                mag = abs(coeff)
-                body = mul.join(([str(mag)] if mag != 1 else []) + factors)
+            mag = abs(coeff)
+            body = mul.join(([str(mag)] if mag != 1 or not factors else []) + factors)
             if not parts:
                 parts.append(("-" if coeff < 0 else "") + body)
             else:
@@ -311,8 +296,7 @@ def geometric_inverse(u: TruncatedPolynomial, up_to_degree: int | None = None) -
     if u.constant_term != 0:
         raise ValueError("geometric inverse requires a zero constant term")
     limit = u.spec.top_degree if up_to_degree is None else integer("up_to_degree", up_to_degree)
-    acc = u.spec.one()
-    pw = u.spec.one()
+    acc = pw = u.spec.one()
     neg = -u
     for _ in range(limit):
         pw = (pw * neg).truncate_degree(limit)

@@ -3,7 +3,8 @@ enumeration and a brute-force oracle for admissible_tuples,
 structural-coefficient extraction for the transvectant, its derivative
 route, and the ring route for the gamma and beta classes: the
 recurrence, geometric-series, multinomial and explicit-sum forms, built with
-generic ring arithmetic instead of the count's closed forms, and the Horner
+generic ring arithmetic instead of the count's closed forms, the per-term
+formulas of both classes with every binomial from math.comb, and the Horner
 route for the Chern integral."""
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from tvcount import BinaryForm, alpha_classes, beta_pushforward, geometric_inverse, transvectant, validate
+from tvcount import BinaryForm, TruncatedPolynomial, alpha_classes, beta_pushforward, geometric_inverse, transvectant, validate
 from tvcount.cycles import ambient_spec
 
 
@@ -172,6 +173,30 @@ def ring_route_count(problem) -> int:
     # gamma * w has degree m+n+deg(w), never the top degree 2(m+n)-2
     w = spec.variable(0) if m + n == 2 else spec.one()
     return (series_gamma(problem) * (beta + w)).integrate()
+
+
+def formula_gamma(problem):
+    """gamma by its per-term formula: (b-1)^q C(q+r, q) U_p at z1^p z2^q z3^r
+    for p <= m, q <= n, r <= m+n-2, with
+    U_p = sum_(s=0..p) (-1)^s a^(p-s) C(m+n-p+s, s), each binomial from
+    math.comb instead of the running products of gamma_class."""
+    m, n, a, b = problem.m, problem.n, problem.a, problem.b
+    deg, cap3 = m + n, m + n - 2
+    terms = {}
+    for p in range(m + 1):
+        k = deg - p  # q + r
+        u = sum((-1) ** s * a ** (p - s) * math.comb(k + s, s) for s in range(p + 1))
+        for q in range(max(0, k - cap3), min(n, k) + 1):
+            terms[(p, q, k - q)] = (b - 1) ** q * math.comb(k, q) * u
+    return TruncatedPolynomial(ambient_spec(m, n), terms)
+
+
+def formula_beta(m: int, n: int):
+    """beta by its per-term formula: C(P+Q, P) at z1^P z2^Q z3^(m+n-2-P-Q),
+    each from math.comb, less the gcd-2 excess class."""
+    top = m + n - 2
+    terms = {(p, q, top - p - q): math.comb(p + q, p) for p in range(m + 1) for q in range(min(n, top - p) + 1)}
+    return TruncatedPolynomial(ambient_spec(m, n), terms) - excess_correction(m, n)
 
 
 def gamma_terms(deg: int) -> list[tuple[int, int, int]]:

@@ -1,5 +1,6 @@
 """CLI integration tests: exit codes, JSON envelope stability, formats."""
 
+import hashlib
 import json
 import math
 import os
@@ -401,6 +402,20 @@ def test_table_csv(capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert ["4", "2", "2", "2", "2", "2", "0"] in rows
     assert all(row[5] in ("1", "2") for row in rows)
+
+
+# sha256 of `table --max-d 120 --csv`, taken from the tree before the count
+# kernel built gamma and beta by running products: no count may change, and
+# this reaches sizes (m+n up to 121) the sympy reference test does not
+TABLE_120_SHA256 = "38569d4958573e097298a359050c3416878c23a45ac831857dd6872c9eb3fff2"
+
+
+def test_table_120_output_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("TVCOUNT_THREADS", raising=False)
+    code, out, _ = run_cli(capsys, "table", "--max-d", "120", "--csv")
+    assert code == 0
+    assert len(out.splitlines()) == 986 + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_120_SHA256
 
 
 def test_table_deterministic_and_thread_capped(capsys, monkeypatch):

@@ -8,18 +8,22 @@ import pytest
 from tvcount import (
     PowerSumProblem,
     RingSpec,
+    admissible_tuples,
     alpha_classes,
     ambient_spec,
     beta_pushforward,
     blowup_class_S,
     gamma_class,
     top_chern_class_T,
+    validate,
 )
 from tvcount.cycles import chern_roots
 
 from .helpers import (
     all_admissible,
     explicit_beta_base,
+    formula_beta,
+    formula_gamma,
     multinomial_gamma,
     segre_class,
     series_beta_base,
@@ -229,3 +233,27 @@ def test_gamma_class_matches_recurrence():
     for problem in problems:
         alpha1, alpha2 = alpha_classes(problem)
         assert gamma_class(problem) == segre_class(alpha1, alpha2, problem.m + problem.n), problem
+
+
+# -- per-term formulas ----------------------------------------------------------------------
+
+# b = 1 (only q = 0 survives), a = 1, and m = n = 1, where the z3 cap is 0
+EDGE_PROBLEMS = (
+    [validate(1, n, n, 1) for n in range(1, 8)]
+    + [validate(2, 2 * k, k, 1) for k in (1, 2, 3, 5)]
+    + [validate(1, 1, a, a) for a in range(1, 8)]
+)
+
+
+def test_gamma_class_matches_its_per_term_formula():
+    problems = admissible_tuples(60) + EDGE_PROBLEMS
+    assert len(problems) == 382 + 18
+    for problem in problems:
+        assert gamma_class(problem) == formula_gamma(problem), problem
+
+
+def test_beta_pushforward_matches_its_per_term_formula():
+    pairs = {(p.m, p.n) for p in admissible_tuples(60) + EDGE_PROBLEMS}
+    assert {(1, 1), (2, 2), (1, 7), (2, 10)} <= pairs
+    for m, n in pairs:
+        assert beta_pushforward(m, n) == formula_beta(m, n), (m, n)

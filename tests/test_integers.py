@@ -13,6 +13,7 @@ from tvcount import (
     TruncatedPolynomial,
     WeightPair,
     admissible_tuples,
+    ambient_spec,
     beta_pushforward,
     blowup_class_S,
     fixed_point_weights,
@@ -60,6 +61,16 @@ SITES = [
     ("transvectant_support n", lambda v: transvectant_support(2, v, 1), "n", 3.0),
     ("transvectant_support k", lambda v: transvectant_support(2, 3, v), "k", 3.0),
     ("integrate_chern_polynomial", lambda v: integrate_chern_polynomial(PROBLEM, [(v, 5, 0)]), "term", 3.0),
+    ("ambient_spec m", lambda v: ambient_spec(v, 4), "m", 3.0),
+    ("ambient_spec n", lambda v: ambient_spec(2, v), "n", 3.0),
+    # a polynomial's scalar operand is a coefficient; -True would be an int
+    ("TruncatedPolynomial mul", lambda v: POLY * v, "coeff", 3.0),
+    ("TruncatedPolynomial rmul", lambda v: v * POLY, "coeff", 3.0),
+    ("TruncatedPolynomial add", lambda v: POLY + v, "coeff", 3.0),
+    ("TruncatedPolynomial sub", lambda v: POLY - v, "coeff", 3.0),
+    ("TruncatedPolynomial rsub", lambda v: v - POLY, "coeff", 3.0),
+    ("BinaryForm mul", lambda v: BinaryForm(1, [1, 2]) * v, "scalar", 3.0),
+    ("BinaryForm rmul", lambda v: v * BinaryForm(1, [1, 2]), "scalar", 3.0),
 ]
 
 
@@ -90,6 +101,8 @@ def test_site_takes_integral_values(call, integral):
         (lambda: blowup_class_S(0), "r must be a positive integer, got 0"),
         (lambda: top_chern_class_T(0), "r must be a positive integer, got 0"),
         (lambda: beta_pushforward(0, 2), "m must be a positive integer, got 0"),
+        (lambda: ambient_spec(0, 2), "m must be a positive integer, got 0"),
+        (lambda: ambient_spec(2, 0), "n must be a positive integer, got 0"),
         (lambda: fixed_point_weights(PROBLEM, -1, 0, 0), "i must be a nonnegative integer, got -1"),
         (lambda: admissible_tuples(-1), "max_d must be a nonnegative integer, got -1"),
         (lambda: BinaryForm(-1, []), "degree must be a nonnegative integer, got -1"),
@@ -99,3 +112,4 @@ def test_site_takes_integral_values(call, integral):
 def test_site_rejects_values_below_its_bound(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+

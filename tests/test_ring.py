@@ -191,6 +191,38 @@ def test_inhomogeneous_factor_with_complementary_first_term_takes_general_loop()
         assert (a * b).terms == {spec.caps: 6, (1, 1) + zero[2:]: 10}
 
 
+def test_top_degree_pairing_when_every_term_has_a_partner():
+    # b holds exactly the complements of a's terms, as beta does gamma's: the
+    # homogeneity of a then carries over to b, and the fast path must agree
+    # with the general loop
+    rng = random.Random(47)
+    for caps in PAIRING_CAPS:
+        spec = RingSpec(caps)
+        for _ in range(10):
+            a = rand_homogeneous(rng, spec, rng.randint(0, spec.top_degree))
+            b = TruncatedPolynomial(spec, {tuple(c - e for c, e in zip(caps, ea)): rng.choice((-3, 2, 7)) for ea in a.terms})
+            assert (a * b).terms == naive_product(a, b).terms
+            assert set((a * b).terms) <= {spec.caps}
+
+
+def test_pairing_of_equal_sized_factors_with_one_inhomogeneous():
+    # the first terms have complementary degrees and the factors the same
+    # number of terms, but one factor leaves the degree: the general loop
+    spec = RingSpec((2, 2, 1))
+    a = TruncatedPolynomial(spec, {(1, 0, 0): 2, (0, 1, 0): 3})
+    partners = {(1, 2, 1): 5, (2, 1, 1): 7}
+    for b in (
+        TruncatedPolynomial(spec, {(1, 2, 1): 5, (0, 0, 1): 7}),  # a partner and a stray term
+        TruncatedPolynomial(spec, partners),  # every term a partner, a homogeneous
+    ):
+        assert a * b == b * a == naive_product(a, b)
+    # every term of b is a partner, but a is inhomogeneous
+    a = TruncatedPolynomial(spec, {(1, 0, 0): 2, (1, 1, 0): 3})
+    b = TruncatedPolynomial(spec, {(1, 2, 1): 5, (1, 1, 1): 7})
+    assert a * b == b * a == naive_product(a, b)
+    assert len((a * b).terms) > 1
+
+
 def test_is_homogeneous():
     assert _is_homogeneous({})
     assert _is_homogeneous({(0,): 4})
