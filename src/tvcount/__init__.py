@@ -23,7 +23,6 @@ from .cycles import (
     beta_pushforward,
     blowup_class_S,
     gamma_class,
-    top_chern_class_T,
 )
 from .ring import RingSpec, TruncatedPolynomial, geometric_inverse
 
@@ -47,7 +46,6 @@ __all__ = [
     "integrate_chern_polynomial",
     "mul_form",
     "pow_form",
-    "top_chern_class_T",
     "transvectant",
     "transvectant_support",
     "validate",

@@ -59,38 +59,16 @@ def ambient_spec(m: int, n: int) -> RingSpec:
     return RingSpec((m, n, m + n - 2))
 
 
-def _two_var_spec(r_needed: int, spec: RingSpec | None) -> RingSpec:
-    if spec is None:
-        return RingSpec((r_needed, r_needed))
-    if spec.nvars != 2:
-        raise ValueError("need a two-variable ring (lambda, zeta)")
-    if min(spec.caps) < r_needed:
-        raise ValueError(f"caps {spec.caps} too small to hold degree-{r_needed} terms")
-    return spec
-
-
-def blowup_class_S(r: int, spec: RingSpec | None = None) -> TruncatedPolynomial:
+def blowup_class_S(r: int) -> TruncatedPolynomial:
     """Class of the blow-up along a codimension-r common vanishing locus of
-    r sections: [(1+lam)^r / (1+lam-zeta)]_(r-1).
+    r sections: [(1+lam)^r / (1+lam-zeta)]_(r-1), in caps (r-1, r-1).
 
     Equals the closed sum lam^(r-1) + lam^(r-2)*zeta + ... + zeta^(r-1).
-    Variables: (lam, zeta) = spec.variables(); default caps (r-1, r-1).
     """
     r = integer("r", r, 1)
-    spec = _two_var_spec(r - 1, spec)
-    lam, zeta = spec.variables()
+    lam, zeta = RingSpec((r - 1, r - 1)).variables()
     series = geometric_inverse(lam - zeta)
     return ((1 + lam) ** r * series).homogeneous_part(r - 1)
-
-
-def top_chern_class_T(r: int, spec: RingSpec | None = None) -> TruncatedPolynomial:
-    """Top Chern class term [(1+lam)^(r+1) / (1+lam-zeta)]_r of the rank-r
-    bundle cut out by r+1 sections, before the excess-component subtraction.
-
-    This is blowup_class_S(r+1), the same series one degree up.  r >= 1 is
-    checked here: S at r + 1 = 1 would accept r = 0.
-    """
-    return blowup_class_S(integer("r", r, 1) + 1, spec)
 
 
 def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:

@@ -142,10 +142,6 @@ class BinaryForm:
     def to_dict(self) -> dict:
         return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BinaryForm":
-        return cls(payload["degree"], payload["coeffs"])
-
 
 def mul_form(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Exact product; the formal degree is the sum of formal degrees."""

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from itertools import repeat
 from operator import le, mul, sub
 
-from ._frozen import Frozen, integer
+from ._frozen import Frozen, integer, integral
 
 
 class RingSpec(Frozen):
@@ -50,9 +50,6 @@ class RingSpec(Frozen):
 
     def one(self) -> "TruncatedPolynomial":
         return self.monomial((0,) * self.nvars, 1)
-
-    def variable(self, index: int) -> "TruncatedPolynomial":
-        return self.variables()[integer("index", index)]
 
     def variables(self) -> list["TruncatedPolynomial"]:
         # unit vectors need no gate; a variable whose cap is 0 is zero
@@ -128,10 +125,6 @@ class TruncatedPolynomial:
         if limit >= self.spec.top_degree:
             return self
         return TruncatedPolynomial._from_clean(self.spec, {e: c for e, c in self.terms.items() if sum(e) <= limit})
-
-    def truncate(self, spec: RingSpec) -> "TruncatedPolynomial":
-        """Image of this polynomial in a ring with (typically smaller) caps."""
-        return TruncatedPolynomial(spec, self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -223,11 +216,13 @@ class TruncatedPolynomial:
     # -- comparison / rendering --------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({} if other == 0 else {(0,) * self.spec.nvars: other})
-        if not isinstance(other, TruncatedPolynomial):
+        if isinstance(other, TruncatedPolynomial):
+            return self.spec == other.spec and self.terms == other.terms
+        # a scalar compares as a constant if the integer rule reads it
+        c = integral(other)
+        if c is None:
             return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+        return self.terms == ({(0,) * self.spec.nvars: c} if c else {})
 
     __hash__ = None
 
@@ -271,12 +266,6 @@ class TruncatedPolynomial:
             "caps": list(self.spec.caps),
             "terms": [{"exp": list(e), "coeff": str(c)} for e, c in self.sorted_terms()],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "TruncatedPolynomial":
-        spec = RingSpec(tuple(payload["caps"]))
-        terms = {tuple(t["exp"]): int(t["coeff"]) for t in payload["terms"]}
-        return cls(spec, terms)
 
 
 def _is_homogeneous(terms: Mapping[tuple[int, ...], int]) -> bool:

@@ -171,7 +171,7 @@ def ring_route_count(problem) -> int:
     beta = explicit_beta_base(m, n) - excess_correction(m, n)
     spec = beta.spec
     # gamma * w has degree m+n+deg(w), never the top degree 2(m+n)-2
-    w = spec.variable(0) if m + n == 2 else spec.one()
+    w = spec.variables()[0] if m + n == 2 else spec.one()
     return (series_gamma(problem) * (beta + w)).integrate()
 
 

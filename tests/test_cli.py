@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import tvcount
-from tvcount import cli, integrate_chern_polynomial, validate
-from tvcount.cli import DEFAULT_MAX_DIGITS, SQUARES_WARNING, main
+from tvcount import beta_pushforward, cli, integrate_chern_polynomial, validate
+from tvcount.cli import DEFAULT_MAX_DIGITS, MAX_CLASS_TERMS, SQUARES_WARNING, main
+from tvcount.cycles import gcd2_excess
 
 from .helpers import brute_force_admissible, gamma_terms
 
@@ -165,6 +166,43 @@ def test_class_invalid_exit_2(capsys):
     assert "unsupported gcd" in err
     code, _, _ = run_cli(capsys, "class", "--m", "3", "--n", "2")
     assert code == 2
+
+
+def not_built(m, n):
+    raise AssertionError(f"the class for ({m}, {n}) was built")
+
+
+@pytest.mark.parametrize("m, n", [(1, 50_000), (315, 317), (600, 1201), (10**9, 2 * 10**9 + 1)])
+def test_class_over_its_term_budget_exits_2_before_building(capsys, monkeypatch, m, n):
+    assert (m + 1) * (n + 1) > MAX_CLASS_TERMS
+    monkeypatch.setattr(cli, "beta_pushforward", not_built)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "class", "--m", str(m), "--n", str(n), "--format", "json")
+    assert (code, out) == (2, "") and time.perf_counter() - t0 < 1
+    assert err.count("\n") == 1 and f"more than the {MAX_CLASS_TERMS} that class builds" in err
+
+
+def test_class_at_its_term_budget_is_built(capsys, monkeypatch):
+    # (m+1)(n+1) == MAX_CLASS_TERMS at (1, 49 999)
+    built = []
+    monkeypatch.setattr(cli, "beta_pushforward", lambda m, n: built.append((m, n)) or beta_pushforward(1, 1))
+    assert run_cli(capsys, "class", "--m", "1", "--n", "49999") == (0, "1\n", "")
+    assert built == [(1, 49_999)]
+
+
+def test_no_class_under_the_budget_has_a_coefficient_too_long_to_print():
+    # beta's coefficients are C(P+Q, P) with P <= m, Q <= n, P+Q <= m+n-2,
+    # less the gcd-2 excess; for a given m both grow with n, and C(m+n-2, P)
+    # peaks on P in [m-2, m]
+    longest = 0
+    for m in range(1, math.isqrt(MAX_CLASS_TERMS)):
+        n = MAX_CLASS_TERMS // (m + 1) - 1
+        excess = sum(gcd2_excess(m, n)) if m > 1 else 0
+        largest = max(math.comb(m + n - 2, p) for p in range(max(m - 2, 0), m + 1)) + excess
+        longest = max(longest, len(str(largest)))
+    # the lowest limit sys.set_int_max_str_digits accepts, other than 0 (none)
+    lowest = getattr(sys.int_info, "str_digits_check_threshold", 640)
+    assert longest < 200 < lowest
 
 
 # -- transvect -------------------------------------------------------------------------

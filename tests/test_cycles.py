@@ -14,7 +14,6 @@ from tvcount import (
     beta_pushforward,
     blowup_class_S,
     gamma_class,
-    top_chern_class_T,
     validate,
 )
 from tvcount.cycles import chern_roots
@@ -39,15 +38,15 @@ def closed_sum(spec: RingSpec, r: int):
     return total
 
 
-# -- blow-up / top Chern classes --------------------------------------------------
+# -- blow-up classes --------------------------------------------------
 
 
 def test_blowup_class_examples():
-    spec = RingSpec((2, 2))
-    lam, zeta = spec.variables()
-    assert blowup_class_S(1, spec) == spec.one()
-    assert blowup_class_S(2, spec) == lam + zeta
-    assert blowup_class_S(3, spec) == lam ** 2 + lam * zeta + zeta ** 2
+    assert blowup_class_S(1) == RingSpec((0, 0)).one()
+    lam, zeta = RingSpec((1, 1)).variables()
+    assert blowup_class_S(2) == lam + zeta
+    lam, zeta = RingSpec((2, 2)).variables()
+    assert blowup_class_S(3) == lam ** 2 + lam * zeta + zeta ** 2
 
 
 def test_blowup_class_matches_closed_sum():
@@ -56,25 +55,9 @@ def test_blowup_class_matches_closed_sum():
 
 
 def test_blowup_class_rejects_small_caps():
-    with pytest.raises(ValueError):
-        blowup_class_S(3, RingSpec((1, 1)))
+    # r = 0 would need caps (-1, -1)
     with pytest.raises(ValueError):
         blowup_class_S(0)
-    with pytest.raises(ValueError):
-        blowup_class_S(2, RingSpec((3, 3, 3)))
-
-
-def test_top_chern_class_examples():
-    spec = RingSpec((2, 2))
-    lam, zeta = spec.variables()
-    assert top_chern_class_T(1, spec) == lam + zeta
-    assert top_chern_class_T(2, spec) == lam ** 2 + lam * zeta + zeta ** 2
-
-
-def test_top_chern_equals_shifted_blowup_class():
-    for r in range(1, 11):
-        spec = RingSpec((r, r))
-        assert top_chern_class_T(r, spec) == blowup_class_S(r + 1, spec)
 
 
 # -- beta pushforward ---------------------------------------------------------------

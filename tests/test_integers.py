@@ -19,7 +19,6 @@ from tvcount import (
     fixed_point_weights,
     geometric_inverse,
     integrate_chern_polynomial,
-    top_chern_class_T,
     transvectant_support,
     validate,
 )
@@ -33,7 +32,6 @@ PROBLEM = validate(2, 3, 3, 2)
 # the site accepts); each call feeds its value to exactly one argument
 SITES = [
     ("RingSpec caps", lambda v: RingSpec((2, v)), "caps", 3.0),
-    ("variable", lambda v: RingSpec((1, 2, 3, 4)).variable(v), "index", 3.0),
     ("monomial exponents", lambda v: SPEC.monomial((v, 0)), "exponents", 3.0),
     ("monomial coeff", lambda v: SPEC.monomial((1, 0), v), "coeff", 3.0),
     ("TruncatedPolynomial exponents", lambda v: TruncatedPolynomial(SPEC, {(v, 0): 1}), "exponents", 3.0),
@@ -43,7 +41,6 @@ SITES = [
     ("TruncatedPolynomial pow", lambda v: (Z1 + Z2) ** v, "exponent", 3.0),
     ("geometric_inverse", lambda v: geometric_inverse(Z1 - Z2, up_to_degree=v), "up_to_degree", 3.0),
     ("blowup_class_S", lambda v: blowup_class_S(v), "r", 3.0),
-    ("top_chern_class_T", lambda v: top_chern_class_T(v), "r", 3.0),
     ("beta_pushforward m", lambda v: beta_pushforward(v, 4), "m", 3.0),
     ("beta_pushforward n", lambda v: beta_pushforward(2, v), "n", 3.0),
     ("fixed_point_weights i", lambda v: fixed_point_weights(PROBLEM, v, 0, 0), "i", 1.0),
@@ -95,11 +92,9 @@ def test_site_takes_integral_values(call, integral):
     "call, message",
     [
         (lambda: RingSpec((2, -1)), "caps must be a nonnegative integer, got -1"),
-        (lambda: SPEC.variable(-1), "index must be a nonnegative integer, got -1"),
         (lambda: SPEC.monomial((1, -1)), "exponents must be a nonnegative integer, got -1"),
         (lambda: Z1 ** -1, "exponent must be a nonnegative integer, got -1"),
         (lambda: blowup_class_S(0), "r must be a positive integer, got 0"),
-        (lambda: top_chern_class_T(0), "r must be a positive integer, got 0"),
         (lambda: beta_pushforward(0, 2), "m must be a positive integer, got 0"),
         (lambda: ambient_spec(0, 2), "m must be a positive integer, got 0"),
         (lambda: ambient_spec(2, 0), "n must be a positive integer, got 0"),
