@@ -129,7 +129,7 @@ class TruncatedPolynomial:
     # -- arithmetic --------------------------------------------------------
 
     def _check_ring(self, other: "TruncatedPolynomial") -> None:
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise ValueError("mismatched RingSpec")
 
     def __add__(self, other):

@@ -13,7 +13,7 @@ import pytest
 
 import tvcount
 from tvcount import beta_pushforward, cli, integrate_chern_polynomial, validate
-from tvcount.cli import DEFAULT_MAX_DIGITS, MAX_CLASS_TERMS, SQUARES_WARNING, main
+from tvcount.cli import DEFAULT_MAX_DIGITS, MAX_CLASS_TERMS, MAX_TABLE_D, SQUARES_WARNING, main
 from tvcount.cycles import gcd2_excess
 
 from .helpers import brute_force_admissible, gamma_terms
@@ -440,6 +440,26 @@ def test_table_csv(capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert ["4", "2", "2", "2", "2", "2", "0"] in rows
     assert all(row[5] in ("1", "2") for row in rows)
+
+
+def not_enumerated(max_d):
+    raise AssertionError(f"admissible_tuples({max_d}) was enumerated")
+
+
+@pytest.mark.parametrize("max_d", [MAX_TABLE_D + 1, 27_000, 10**12])
+def test_table_over_its_budget_exits_2_before_building_a_row(capsys, monkeypatch, max_d):
+    # unchecked, --max-d 27000 builds 824 912 rows in seconds before it refuses one
+    monkeypatch.setattr(cli, "admissible_tuples", not_enumerated)
+    code, out, err, seconds = timed_cli(capsys, "table", "--max-d", str(max_d), "--csv")
+    assert (code, out) == (2, "") and seconds < 1
+    assert err == f"error: table --max-d {max_d} is above {MAX_TABLE_D}, the largest that table builds\n"
+
+
+def test_table_at_its_budget_is_built(capsys, monkeypatch):
+    asked = []
+    monkeypatch.setattr(cli, "admissible_tuples", lambda max_d: asked.append(max_d) or [])
+    assert run_cli(capsys, "table", "--max-d", str(MAX_TABLE_D), "--csv") == (0, "d,a,b,m,n,gcd,degree\n", "")
+    assert asked == [MAX_TABLE_D]
 
 
 # sha256 of `table --max-d 120 --csv`, taken from the tree before the count

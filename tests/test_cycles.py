@@ -176,14 +176,34 @@ def test_alpha_classes_5_3():
     assert a2 == -5 * z1 ** 2 + 10 * z1 * z2 + 5 * z1 * z3
 
 
+# b = 1, where x2 has no z2 term, and m = n = 1, where the cap of z3 is 0 and
+# x2 has no z3 term
+EDGE_ROOTS = ((1, 5, 5, 1), (2, 6, 3, 1), (1, 2, 2, 1), (1, 1, 3, 3))
+
+
 def test_chern_roots_factor_the_total_chern_class():
-    # 1 + alpha1 + alpha2 == (1 + x1)(1 + x2), with both alphas written out
-    for problem in all_admissible(24):
+    # 1 + alpha1 + alpha2 == (1 + x1)(1 + x2), with both roots and both alphas
+    # written out; == compares term dicts, so a stored zero coefficient or a
+    # z3 term at cap 0 fails
+    problems = all_admissible(24)
+    assert {validate(*t) for t in EDGE_ROOTS} <= set(problems)
+    for problem in problems:
         z1, z2, z3 = ambient_spec(problem.m, problem.n).variables()
         a, b = problem.a, problem.b
         x1, x2 = chern_roots(problem)
+        assert x1 == -a * z1, problem
+        assert x2 == z1 + (1 - b) * z2 - z3, problem
         assert x1 + x2 == (1 - a) * z1 + (1 - b) * z2 - z3, problem
         assert x1 * x2 == -a * z1 * z1 - a * (1 - b) * z1 * z2 + a * z1 * z3, problem
+
+
+def test_the_classes_of_a_count_share_one_spec():
+    for t in ((4, 10, 5, 2), (1, 1, 3, 3), (2, 6, 3, 1)):
+        problem = validate(*t)
+        spec = ambient_spec(problem.m, problem.n)
+        gamma, beta = gamma_class(problem), beta_pushforward(problem.m, problem.n)
+        assert gamma.spec is beta.spec is (gamma * beta).spec is spec, t
+        assert all(x.spec is spec for x in (*chern_roots(problem), *alpha_classes(problem))), t
 
 
 # -- gamma class -------------------------------------------------------------------------

@@ -88,6 +88,17 @@ def test_site_takes_integral_values(call, integral):
     assert call(integral) == call(int(integral))
 
 
+def test_ambient_spec_gates_before_its_cache():
+    # True == 1 and hashes as 1: past the gate, it would find the cached (1, 3)
+    assert ambient_spec(1, 3) is ambient_spec(1, 3)
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(ValueError, match=f"^m must be a positive integer, got {re.escape(repr(bad))}$"):
+            ambient_spec(bad, 3)
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {re.escape(repr(bad))}$"):
+            ambient_spec(1, bad)
+    assert ambient_spec(3.0, 5) is ambient_spec(3, 5)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

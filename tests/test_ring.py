@@ -94,6 +94,14 @@ def test_mismatched_ring_error():
         a * b
 
 
+def test_equal_specs_built_apart_still_combine():
+    # the ring check tests identity first, then compares the caps
+    z1, z2 = RingSpec((2, 3)).variables()[0], RingSpec((2, 3)).variables()[1]
+    assert z1.spec is not z2.spec
+    assert (z1 + z2).terms == {(1, 0): 1, (0, 1): 1}
+    assert z1 * z2 == RingSpec((2, 3)).monomial((1, 1))
+
+
 def test_int_operands():
     spec = RingSpec((2,))
     z = spec.variables()[0]
