@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: count, class, transvect, table, selftest.
-Exit codes: 0 success, 1 usage error, 2 invalid problem, a class or table
-over its budget or a result too long to print, 3 self-test failure.
+Exit codes: 0 success, 1 usage error, 2 invalid problem, a count, class or
+table over its budget or a result too long to print, 3 self-test failure.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
@@ -61,9 +61,9 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _count_payload(problem: PowerSumProblem, degree: int) -> dict:
+def _count_payload(problem: PowerSumProblem, degree_text: str) -> dict:
     payload = {k: getattr(problem, k) for k in ("m", "n", "a", "b", "d", "gcd")}
-    return {**payload, "degree": str(degree)}
+    return {**payload, "degree": degree_text}
 
 
 def cmd_count(args) -> int:
@@ -86,22 +86,39 @@ def cmd_count(args) -> int:
         problem = validate(m, n, args.a, args.b)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INVALID)
+    m, n, a, b = problem.m, problem.n, problem.a, problem.b
+    if (m + 1) * (n + 1) > MAX_COUNT_TERMS:
+        return _fail(
+            f"the count for (m,n,a,b)=({m},{n},{a},{b}) has up to (m+1)(n+1) = {(m + 1) * (n + 1)} terms, "
+            f"more than the {MAX_COUNT_TERMS} that count builds",
+            EXIT_INVALID,
+        )
     if too_long := _too_long(problem):
         return _fail(too_long, EXIT_INVALID)
     degree = degree_of_power_sum_locus(problem)
-    if too_long := _too_long(problem, degree):
-        return _fail(too_long, EXIT_INVALID)
+    try:
+        degree_text = str(degree)
+    except ValueError:  # str() of an int longer than the interpreter allows
+        return _fail(_too_long_message(problem), EXIT_INVALID)
     warnings = [DEGENERATE_WARNING] if problem.degenerate else []
-    if problem.a == problem.b == 2:
+    if a == b == 2:
         warnings.append(SQUARES_WARNING)
     if args.json:
-        _print_envelope("count", inputs, _count_payload(problem, degree), warnings)
+        _print_envelope("count", inputs, _count_payload(problem, degree_text), warnings)
     else:
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        print(degree)
+        print(degree_text)
     return EXIT_OK
 
+
+# the most terms a count builds, bounding (m+1)(n+1), which gamma's and beta's
+# term counts stay under; it bounds the counts the digit estimate does not: a
+# limit of 0, and b = 1, which the estimate gives no weight.  It admits every
+# count with a, b >= 2 that passes the estimate at the default limit, the
+# largest (784,862,431,392) at 677 455 terms; (818,826,413,409), whose 4298
+# digits print, takes 10 to 13 s and 1 GiB on a 2-vCPU VM
+MAX_COUNT_TERMS = 1_000_000
 
 # the most terms `class` builds, bounding (m+1)(n+1), which beta's term count
 # stays under: such a class takes about 0.6 s and 100 MiB on a 2-vCPU VM, and
@@ -147,23 +164,21 @@ def _max_digits() -> int:
     return _str_digits_limit() or DEFAULT_MAX_DIGITS
 
 
-def _too_long(problem: PowerSumProblem, degree: int | None = None) -> str | None:
-    """The one-line refusal when the count has more digits than str() prints,
-    else None.  Before the count is computed it is refused when
-    floor(m log10 a + n log10 b) >= limit + 1: it is a^m b^n less terms too
-    small to cost it a digit there.  After, the bit length settles all but
-    the values next to 10^limit."""
+def _too_long_message(problem: PowerSumProblem) -> str:
     m, n, a, b = problem.m, problem.n, problem.a, problem.b
+    return f"the count for (m,n,a,b)=({m},{n},{a},{b}) has more than {_str_digits_limit()} digits, the most str() prints (sys.get_int_max_str_digits())"
+
+
+def _too_long(problem: PowerSumProblem) -> str | None:
+    """The one-line refusal, before the count is computed, of a count with
+    more digits than str() prints, else None.  It is refused when
+    floor(m log10 a + n log10 b) >= limit + 1: it is a^m b^n less terms too
+    small to cost it a digit there.  A count the estimate lets through is
+    refused by str() itself once computed."""
     limit = _str_digits_limit()
-    if not limit:
-        return None
-    if degree is None:
-        over = math.floor(m * math.log10(a) + n * math.log10(b)) > limit
-    else:
-        over = degree.bit_length() > limit * math.log2(10) and abs(degree) >= 10**limit
-    if not over:
-        return None
-    return f"the count for (m,n,a,b)=({m},{n},{a},{b}) has more than {limit} digits, the most str() prints (sys.get_int_max_str_digits())"
+    if limit and math.floor(problem.m * math.log10(problem.a) + problem.n * math.log10(problem.b)) > limit:
+        return _too_long_message(problem)
+    return None
 
 
 def _parse_coefficient(text: str):
@@ -232,7 +247,9 @@ def _worker_cap(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
-# the largest --max-d table builds: 15 237 rows, about 7 s on a 2-vCPU VM
+# the largest --max-d table builds: 15 237 rows, 5 to 6 s serially on a
+# 2-vCPU VM; no row's count has more than 172 digits ((6,332,166,3)), below
+# 640, the lowest str(int) limit Python allows, so no row is too long to print
 MAX_TABLE_D = 1000
 
 
@@ -243,9 +260,6 @@ def cmd_table(args) -> int:
         problems = admissible_tuples(args.max_d)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INVALID)
-    for problem in problems:
-        if too_long := _too_long(problem):
-            return _fail(too_long, EXIT_INVALID)
     workers = _worker_cap(len(problems)) if problems else 1
     if workers > 1:
         try:
@@ -261,9 +275,6 @@ def cmd_table(args) -> int:
             rows = [_table_row(p) for p in problems]
     else:
         rows = [_table_row(p) for p in problems]
-    for problem, row in zip(problems, rows):
-        if too_long := _too_long(problem, row[-1]):
-            return _fail(too_long, EXIT_INVALID)
 
     header = ("d", "a", "b", "m", "n", "gcd", "degree")
     if args.csv:
@@ -294,7 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_count = sub.add_parser("count", help="degree of the f^a + g^b locus")
+    p_count = sub.add_parser(
+        "count",
+        help="degree of the f^a + g^b locus",
+        description=f"Refuses (exit 2) a count with (m+1)(n+1) above {MAX_COUNT_TERMS} terms.",
+    )
     p_count.add_argument("--m", type=int, help="degree of f (with --n; or use --d)")
     p_count.add_argument("--n", type=int, help="degree of g")
     p_count.add_argument("--a", type=int, required=True, help="first power")

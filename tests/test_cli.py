@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import tvcount
-from tvcount import beta_pushforward, cli, integrate_chern_polynomial, validate
-from tvcount.cli import DEFAULT_MAX_DIGITS, MAX_CLASS_TERMS, MAX_TABLE_D, SQUARES_WARNING, main
+from tvcount import admissible_tuples, beta_pushforward, cli, integrate_chern_polynomial, validate
+from tvcount.cli import DEFAULT_MAX_DIGITS, MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, SQUARES_WARNING, main
 from tvcount.cycles import gcd2_excess
 
 from .helpers import brute_force_admissible, gamma_terms
@@ -368,6 +368,40 @@ def test_count_at_the_default_digit_limit_is_computed(str_digits):
     assert cli._too_long(validate(510, 1021, 1021, 510)) is None
 
 
+@needs_str_digits_limit
+@pytest.mark.parametrize(
+    "limit, argv",
+    [
+        (DEFAULT_MAX_DIGITS, ("--m", "2", "--n", "1000000", "--a", "500000", "--b", "1")),
+        (DEFAULT_MAX_DIGITS, ("--d", "1000000000000", "--a", "1000000000000", "--b", "1")),
+        (0, ("--m", "1000", "--n", "1001", "--a", "1001", "--b", "1000")),
+    ],
+)
+def test_count_over_its_term_budget_exits_2_before_computing(capsys, str_digits, monkeypatch, limit, argv):
+    # the digit estimate gives b = 1 no weight, and a limit of 0 turns it off:
+    # unchecked, the first takes 4 s and 700 MiB to print 0, and the second
+    # runs out of memory building beta
+    str_digits(limit)
+    monkeypatch.setattr(cli, "degree_of_power_sum_locus", not_computed)
+    code, out, err, seconds = timed_cli(capsys, "count", *argv)
+    assert (code, out) == (2, "") and seconds < 1
+    assert err.count("\n") == 1 and f"terms, more than the {MAX_COUNT_TERMS} that count builds" in err
+
+
+@needs_str_digits_limit
+@pytest.mark.parametrize("m, n, a, b", [(510, 1021, 1021, 510), (784, 862, 431, 392), (1, 499_999, 499_999, 1)])
+def test_count_at_or_under_its_term_budget_is_computed(capsys, str_digits, monkeypatch, m, n, a, b):
+    # (784, 862, 431, 392) has the most terms, 677 455, of the counts with
+    # a, b >= 2 that pass the digit estimate at the default limit; (1, 499 999)
+    # is at the budget
+    str_digits(DEFAULT_MAX_DIGITS)
+    computed = []
+    monkeypatch.setattr(cli, "degree_of_power_sum_locus", lambda problem: computed.append(problem) or 1)
+    code, out, _ = run_cli(capsys, "count", "--m", str(m), "--n", str(n), "--a", str(a), "--b", str(b))
+    assert (code, out) == (0, "1\n")
+    assert computed == [validate(m, n, a, b)]
+
+
 # (104, 209, 209, 104) has 663 digits and floor(m log10 a + n log10 b) = 662
 BOUNDARY = (104, 209, 209, 104)
 BOUNDARY_ARGV = ("count", "--m", "104", "--n", "209", "--a", "209", "--b", "104")
@@ -383,7 +417,7 @@ def test_count_digit_limit_boundary(capsys, str_digits, monkeypatch, extra):
         out = json.loads(out)["result"]["degree"] + "\n"
     assert len(out) == 664
 
-    # refused once computed: the estimate leaves it to the bit length
+    # refused once computed: the estimate leaves it to str()
     str_digits(662)
     code, out, err, seconds = timed_cli(capsys, *BOUNDARY_ARGV, *extra)
     assert (code, out) == (2, "") and seconds < 1
@@ -397,22 +431,17 @@ def test_count_digit_limit_boundary(capsys, str_digits, monkeypatch, extra):
     assert err.count("\n") == 1 and "more than 661 digits" in err
 
 
-@needs_str_digits_limit
-def test_table_digit_limit(capsys, str_digits, monkeypatch):
-    # admissible_tuples reaches 640 digits, the lowest limit Python allows,
-    # only at d in the thousands, so the table is given its rows here
-    monkeypatch.setattr(cli, "admissible_tuples", lambda _: [validate(2, 3, 3, 2), validate(*BOUNDARY)])
-    str_digits(663)
-    code, out, _, seconds = timed_cli(capsys, "table", "--max-d", "0", "--csv")
-    assert code == 0 and seconds < 1
-    assert out.splitlines()[1] == "6,3,2,2,3,1,40" and len(out.splitlines()[2].split(",")[-1]) == 663
-    for limit in (662, 661):
-        str_digits(limit)
-        if limit == 661:  # refused before computing
-            monkeypatch.setattr(cli, "degree_of_power_sum_locus", not_computed)
-        code, out, err, seconds = timed_cli(capsys, "table", "--max-d", "0", "--csv")
-        assert (code, out) == (2, "") and seconds < 1
-        assert err.count("\n") == 1 and f"(m,n,a,b)=(104,209,209,104) has more than {limit} digits" in err
+def test_no_table_row_under_the_budget_is_too_long_to_print():
+    # a count is a^m b^n less corrections made of binomials in N = m+n, each
+    # below 2^N <= a^m b^n, times factors below d^4 <= 10^12: it has at most
+    # 13 digits more than the estimate floor(m log10 a + n log10 b) + 1
+    longest = max(
+        math.floor(p.m * math.log10(p.a) + p.n * math.log10(p.b)) + 1 for p in admissible_tuples(MAX_TABLE_D)
+    )
+    assert longest == len(str(chern_count(validate(6, 332, 166, 3)))) == 172
+    # the lowest limit sys.set_int_max_str_digits accepts, other than 0 (none)
+    lowest = getattr(sys.int_info, "str_digits_check_threshold", 640)
+    assert longest + 13 < lowest
 
 
 def test_transvect_degree_zero_exit_2(capsys):
