@@ -6,8 +6,8 @@ table over its budget or a result too long to print, 3 self-test failure.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
-A process imports only what its command runs: json, traceback, fractions and
-the forms engine are imported inside the functions that use them.
+json, traceback, fractions and the forms engine are imported only inside the
+functions that use them.
 """
 
 from __future__ import annotations

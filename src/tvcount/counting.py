@@ -11,19 +11,9 @@ from .cycles import PowerSumProblem, beta_pushforward, gamma_class, gcd2_excess
 
 
 def validate(m: int, n: int, a: int, b: int) -> PowerSumProblem:
-    """Build the PowerSumProblem for raw input: read each value as a positive
-    int through the integer gate, normalize to m <= n by swapping (m, a) with
-    (n, b), which leaves the count invariant, and let PowerSumProblem check
-    am == bn and gcd(m, n) <= 2.
-
-    Degenerate problems (a == 1 or b == 1) are accepted; callers can surface
-    PowerSumProblem.degenerate as a warning.
-    """
-    # checked before the swap, so a message names the caller's argument
-    m, n, a, b = integer("m", m, 1), integer("n", n, 1), integer("a", a, 1), integer("b", b, 1)
-    if m > n:
-        m, n, a, b = n, m, b, a
-    return PowerSumProblem(m=m, n=n, a=a, b=b, d=a * m)
+    """The PowerSumProblem for raw input: calling it is the same as calling
+    PowerSumProblem(m, n, a, b), which reads, normalizes and checks it."""
+    return PowerSumProblem(m, n, a, b)
 
 
 def degree_of_power_sum_locus(problem: PowerSumProblem) -> int:
@@ -144,5 +134,5 @@ def admissible_tuples(max_d: int) -> list[PowerSumProblem]:
                 if b > a:
                     break
                 if math.gcd(d // a, d // b) <= 2:
-                    out.append(PowerSumProblem(m=d // a, n=d // b, a=a, b=b, d=d))
+                    out.append(PowerSumProblem(d // a, d // b, a, b))
     return out

@@ -15,33 +15,41 @@ from .ring import RingSpec, TruncatedPolynomial, geometric_inverse
 
 
 class PowerSumProblem(Frozen):
-    """Validated tuple (m, n, a, b, d) with a*m == b*n == d, gcd(m, n) in
-    {1, 2}, and m <= n.  Use counting.validate() to build one from raw input
-    (it also performs the m <= n normalization)."""
+    """The problem (m, n, a, b) of the forms f^a + g^b with deg f = m and
+    deg g = n, read and checked in one place: each value is read as a
+    positive int through the integer gate, (m, a) is swapped with (n, b) when
+    m > n, which leaves the count invariant, and a*m == b*n and
+    gcd(m, n) <= 2 are checked.  d = a*m is derived.
 
-    __slots__ = ("m", "n", "a", "b", "d")
+    Degenerate problems (a == 1 or b == 1) are accepted; callers can surface
+    ``degenerate`` as a warning.
+    """
+
+    __slots__ = ("m", "n", "a", "b")
     m: int
     n: int
     a: int
     b: int
-    d: int
 
-    def __init__(self, m: int, n: int, a: int, b: int, d: int) -> None:
-        for name, v in (("m", m), ("n", n), ("a", a), ("b", b), ("d", d)):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, v)
+    def __init__(self, m: int, n: int, a: int, b: int) -> None:
+        # read before the swap, so a message names the caller's argument
+        m, n, a, b = integer("m", m, 1), integer("n", n, 1), integer("a", a, 1), integer("b", b, 1)
+        if m > n:
+            m, n, a, b = n, m, b, a
         if a * m != b * n:
             raise ValueError(f"am != bn: {a}*{m} = {a * m} but {b}*{n} = {b * n}")
-        if a * m != d:
-            raise ValueError(f"need d == a*m, got d={d}, a*m={a * m}")
-        if m > n:
-            raise ValueError(f"need m <= n, got m={m}, n={n} (normalize by swapping (m,a) and (n,b))")
-        if self.gcd > 2:
-            raise ValueError(f"unsupported gcd(m, n) = {self.gcd}; only 1 and 2 are supported")
+        if math.gcd(m, n) > 2:
+            raise ValueError(f"unsupported gcd(m, n) = {math.gcd(m, n)}; only 1 and 2 are supported")
+        for name, v in zip(self.__slots__, (m, n, a, b)):
+            object.__setattr__(self, name, v)
 
     def _fields(self) -> tuple:
-        return (self.m, self.n, self.a, self.b, self.d)
+        return (self.m, self.n, self.a, self.b)
+
+    @property
+    def d(self) -> int:
+        """The degree a*m == b*n of f^a + g^b."""
+        return self.a * self.m
 
     @property
     def gcd(self) -> int:

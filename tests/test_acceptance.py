@@ -53,6 +53,15 @@ from .helpers import (
 
 PUBLISHED = ((2, 3, 3, 2, 40), (4, 6, 3, 2, 3762), (3, 5, 5, 3, 29822), (4, 10, 5, 2, 626327))
 
+# A classical gcd-2 anchor beside the published counts.  f^3 + g^3 =
+# (f + g)(f + wg)(f + w^2 g), w a primitive cube root of 1: a product of three
+# members of a pencil of quadrics, and any three distinct members can be
+# brought to this form.  So the locus of (2,2,3,3) is the set of binary
+# sextics whose roots split into three pairs of one involution: the zero set
+# of Clebsch's skew invariant, of degree 15 (Clebsch 1872; Bolza, Amer. J.
+# Math. 10, 1887).  The count takes ordered pairs (f, g), so it is 2 * 15.
+CLASSICAL_ANCHOR = (2, 2, 3, 3, 30)
+
 
 @contextmanager
 def report(num: int, description: str):
@@ -79,6 +88,12 @@ def test_criterion_1_published_counts():
             elapsed = time.perf_counter() - start
             assert got == expected, f"({m},{n},{a},{b}): expected {expected}, got {got}"
             assert elapsed < 1.0, f"({m},{n},{a},{b}) took {elapsed:.2f}s"
+
+
+def test_classical_anchor_two_cubes():
+    m, n, a, b, expected = CLASSICAL_ANCHOR
+    assert degree_of_power_sum_locus(validate(m, n, a, b)) == expected
+    assert run_cli("count", "--m", str(m), "--n", str(n), "--a", str(a), "--b", str(b)) == (0, f"{expected}\n", "")
 
 
 def test_criterion_2_cross_formula_identities():

@@ -128,29 +128,29 @@ def test_beta_pushforward_nonnegative_small():
 
 
 def test_problem_invariants():
-    PowerSumProblem(m=2, n=3, a=3, b=2, d=6)
+    PowerSumProblem(m=2, n=3, a=3, b=2)
+    with pytest.raises(ValueError, match="am != bn"):
+        PowerSumProblem(m=2, n=3, a=3, b=3)
+    # m > n is normalized, not refused
+    assert PowerSumProblem(m=3, n=2, a=2, b=3) == PowerSumProblem(m=2, n=3, a=3, b=2)
     with pytest.raises(ValueError):
-        PowerSumProblem(m=2, n=3, a=3, b=2, d=7)
+        PowerSumProblem(m=3, n=6, a=2, b=1)
     with pytest.raises(ValueError):
-        PowerSumProblem(m=3, n=2, a=2, b=3, d=6)
-    with pytest.raises(ValueError):
-        PowerSumProblem(m=3, n=6, a=2, b=1, d=6)
-    with pytest.raises(ValueError):
-        PowerSumProblem(m=0, n=1, a=1, b=1, d=1)
+        PowerSumProblem(m=0, n=1, a=1, b=1)
     with pytest.raises(ValueError, match="positive integer"):
-        PowerSumProblem(m=True, n=2, a=2, b=1, d=2)
+        PowerSumProblem(m=True, n=2, a=2, b=1)
 
 
 def test_problem_degenerate_flag():
-    assert PowerSumProblem(m=1, n=2, a=2, b=1, d=2).degenerate
-    assert not PowerSumProblem(m=2, n=3, a=3, b=2, d=6).degenerate
+    assert PowerSumProblem(m=1, n=2, a=2, b=1).degenerate
+    assert not PowerSumProblem(m=2, n=3, a=3, b=2).degenerate
 
 
 # -- alpha classes -----------------------------------------------------------------------
 
 
 def test_alpha_classes_unit_powers():
-    problem = PowerSumProblem(m=2, n=2, a=1, b=1, d=2)
+    problem = PowerSumProblem(m=2, n=2, a=1, b=1)
     spec = ambient_spec(2, 2)
     z1, z2, z3 = spec.variables()
     a1, a2 = alpha_classes(problem)
@@ -159,7 +159,7 @@ def test_alpha_classes_unit_powers():
 
 
 def test_alpha_classes_clebsch():
-    problem = PowerSumProblem(m=2, n=3, a=3, b=2, d=6)
+    problem = PowerSumProblem(m=2, n=3, a=3, b=2)
     spec = ambient_spec(2, 3)
     z1, z2, z3 = spec.variables()
     a1, a2 = alpha_classes(problem)
@@ -168,7 +168,7 @@ def test_alpha_classes_clebsch():
 
 
 def test_alpha_classes_5_3():
-    problem = PowerSumProblem(m=3, n=5, a=5, b=3, d=15)
+    problem = PowerSumProblem(m=3, n=5, a=5, b=3)
     spec = ambient_spec(3, 5)
     z1, z2, z3 = spec.variables()
     a1, a2 = alpha_classes(problem)
@@ -211,21 +211,21 @@ def test_the_classes_of_a_count_share_one_spec():
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_gamma_class_line_case(d):
-    problem = PowerSumProblem(m=1, n=1, a=d, b=d, d=d)
+    problem = PowerSumProblem(m=1, n=1, a=d, b=d)
     expected = ambient_spec(1, 1).monomial((1, 1, 0), (d - 1) * (d - 2))
     assert gamma_class(problem) == expected
 
 
 def test_gamma_class_is_homogeneous():
     for (m, n, a, b) in ((2, 3, 3, 2), (4, 6, 3, 2), (1, 4, 4, 1)):
-        problem = PowerSumProblem(m=m, n=n, a=a, b=b, d=a * m)
+        problem = PowerSumProblem(m=m, n=n, a=a, b=b)
         g = gamma_class(problem)
         assert g == g.homogeneous_part(m + n)
 
 
 def test_gamma_class_two_paths_agree():
     # series route vs multinomial route, recomputed here from the alphas
-    problem = PowerSumProblem(m=2, n=3, a=3, b=2, d=6)
+    problem = PowerSumProblem(m=2, n=3, a=3, b=2)
     assert series_gamma(problem) == multinomial_gamma(problem) == gamma_class(problem)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from tvcount import (
     BinaryForm,
+    PowerSumProblem,
     RingSpec,
     TruncatedPolynomial,
     WeightPair,
@@ -50,6 +51,11 @@ SITES = [
     ("WeightPair w2", lambda v: WeightPair(0, v), "w2", 3.0),
     ("admissible_tuples", lambda v: admissible_tuples(v), "max_d", 3.0),
     ("validate", lambda v: validate(2, v, 3, 2), "n", 3.0),
+    # each gives the problem (2, 3, 3, 2), swapped where m is 3
+    ("PowerSumProblem m", lambda v: PowerSumProblem(v, 2, 2, 3), "m", 3.0),
+    ("PowerSumProblem n", lambda v: PowerSumProblem(2, v, 3, 2), "n", 3.0),
+    ("PowerSumProblem a", lambda v: PowerSumProblem(2, 3, v, 2), "a", 3.0),
+    ("PowerSumProblem b", lambda v: PowerSumProblem(3, 2, 2, v), "b", 3.0),
     ("BinaryForm", lambda v: BinaryForm(v, [1, 2, 3, 4]), "degree", 3.0),
     ("BinaryForm.zero", lambda v: BinaryForm.zero(v), "degree", 3.0),
     ("from_binomial", lambda v: BinaryForm.from_binomial(v, [1, 2, 3, 4]), "degree", 3.0),

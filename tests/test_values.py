@@ -6,22 +6,22 @@ import pickle
 
 import pytest
 
-from tvcount import PowerSumProblem, RingSpec, WeightPair
+from tvcount import PowerSumProblem, RingSpec, WeightPair, validate
 
 
 def test_repr_strings():
-    assert repr(PowerSumProblem(m=2, n=3, a=3, b=2, d=6)) == "PowerSumProblem(m=2, n=3, a=3, b=2, d=6)"
+    assert repr(PowerSumProblem(m=2, n=3, a=3, b=2)) == "PowerSumProblem(m=2, n=3, a=3, b=2)"
     assert repr(RingSpec((2, 3, 3))) == "RingSpec(caps=(2, 3, 3))"
     assert repr(WeightPair(3, -1)) == "WeightPair(3, -1)"
 
 
 def test_equality_and_hash():
-    p = PowerSumProblem(m=2, n=3, a=3, b=2, d=6)
-    assert p == PowerSumProblem(2, 3, 3, 2, 6)
-    assert p != PowerSumProblem(m=4, n=6, a=3, b=2, d=12)
-    assert p != (2, 3, 3, 2, 6)
-    assert hash(p) == hash((2, 3, 3, 2, 6))
-    assert len({p, PowerSumProblem(2, 3, 3, 2, 6)}) == 1
+    p = PowerSumProblem(m=2, n=3, a=3, b=2)
+    assert p == PowerSumProblem(2, 3, 3, 2)
+    assert p != PowerSumProblem(m=4, n=6, a=3, b=2)
+    assert p != (2, 3, 3, 2)
+    assert hash(p) == hash((2, 3, 3, 2))
+    assert len({p, PowerSumProblem(2, 3, 3, 2), PowerSumProblem(3, 2, 2, 3)}) == 1
 
     spec = RingSpec((2, 3, 3))
     assert spec == RingSpec([2, 3, 3]) and spec != RingSpec((2, 3, 4))
@@ -37,7 +37,7 @@ def test_equality_and_hash():
 @pytest.mark.parametrize(
     "value, field",
     [
-        (PowerSumProblem(m=2, n=3, a=3, b=2, d=6), "m"),
+        (PowerSumProblem(m=2, n=3, a=3, b=2), "m"),
         (RingSpec((1, 2)), "caps"),
         (WeightPair(1, 2), "w1"),
     ],
@@ -55,7 +55,8 @@ def test_fields_are_read_only(value, field):
 
 @pytest.mark.parametrize(
     "value",
-    [PowerSumProblem(m=4, n=6, a=3, b=2, d=12), RingSpec((4, 6, 8)), WeightPair(-5, 2)],
+    # the problem is given swapped: unpickling reads the normalized fields
+    [PowerSumProblem(m=6, n=4, a=2, b=3), RingSpec((4, 6, 8)), WeightPair(-5, 2)],
 )
 def test_pickle_and_copy_round_trip(value):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -78,14 +79,23 @@ def test_ring_spec_coerces_caps():
 
 def test_problem_construction_errors():
     with pytest.raises(ValueError, match="am != bn"):
-        PowerSumProblem(m=2, n=3, a=2, b=3, d=4)
-    with pytest.raises(ValueError, match="need d == a\\*m"):
-        PowerSumProblem(m=2, n=3, a=3, b=2, d=7)
-    with pytest.raises(ValueError, match="need m <= n"):
-        PowerSumProblem(m=3, n=2, a=2, b=3, d=6)
+        PowerSumProblem(m=2, n=3, a=2, b=3)
+    # checked after the swap, so the message shows the normalized problem
+    with pytest.raises(ValueError, match="^am != bn: 3\\*2 = 6 but 3\\*3 = 9$"):
+        PowerSumProblem(m=3, n=2, a=3, b=3)
     with pytest.raises(ValueError, match="unsupported gcd"):
-        PowerSumProblem(m=3, n=6, a=2, b=1, d=6)
-    with pytest.raises(ValueError, match="d must be a positive integer, got 6.0"):
-        PowerSumProblem(m=2, n=3, a=3, b=2, d=6.0)
+        PowerSumProblem(m=3, n=6, a=2, b=1)
+    # d is derived, never given
     with pytest.raises(TypeError):
-        PowerSumProblem(m=2, n=3, a=3, b=2)
+        PowerSumProblem(m=2, n=3, a=3, b=2, d=6)
+    with pytest.raises(TypeError):
+        PowerSumProblem(m=2, n=3, a=3)
+
+
+def test_problem_is_read_and_normalized_in_one_place():
+    assert PowerSumProblem.__slots__ == ("m", "n", "a", "b")
+    swapped = PowerSumProblem(6, 4, 2, 3)
+    assert swapped == PowerSumProblem(4, 6, 3, 2) == validate(6, 4, 2, 3)
+    assert (swapped.m, swapped.n, swapped.a, swapped.b, swapped.d) == (4, 6, 3, 2, 12)
+    assert type(swapped.d) is int and isinstance(PowerSumProblem.d, property)
+    assert (PowerSumProblem(1, 1, 5, 5).d, PowerSumProblem(1, 2, 2, 1).d) == (5, 2)
