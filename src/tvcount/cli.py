@@ -7,15 +7,17 @@ JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
 json, traceback, fractions and the forms engine are imported only inside the
-functions that use them.
+functions that use them, and argparse only for help and usage errors: main()
+reads a well-formed command itself, from the same option table that
+build_parser() turns into the argparse parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+import types
 
 from ._frozen import integer
 from .counting import admissible_tuples, degree_of_power_sum_locus, validate
@@ -40,13 +42,6 @@ SQUARES_WARNING = (
     "a = b = 2: f^2 + g^2 = (f + ig)(f - ig), so every fibre of (f, g) -> f^2 + g^2 is "
     "positive-dimensional and the intersection product is 0, not the degree of the locus"
 )
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage errors exit 1 (argparse defaults to 2, which is reserved for invalid problems)
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _print_envelope(command: str, inputs: dict, result, warnings: list[str]) -> None:
@@ -298,60 +293,128 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_SELFTEST
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command's function, help, description and options; an option is
+# (flag, dest, kind, required, default, help), where kind is int, str, a
+# tuple of choices, or bool for a store_true flag.  build_parser() and
+# _read_argv() both read this table.
+_COMMANDS = {
+    "count": (
+        cmd_count,
+        "degree of the f^a + g^b locus",
+        f"Refuses (exit 2) a count with (m+1)(n+1) above {MAX_COUNT_TERMS} terms.",
+        (
+            ("--m", "m", int, False, None, "degree of f (with --n; or use --d)"),
+            ("--n", "n", int, False, None, "degree of g"),
+            ("--a", "a", int, True, None, "first power"),
+            ("--b", "b", int, True, None, "second power"),
+            ("--d", "d", int, False, None, "total degree; sets m = d/a, n = d/b"),
+            ("--json", "json", bool, False, False, "print a JSON envelope"),
+        ),
+    ),
+    "class": (
+        cmd_class,
+        "pushed-forward fundamental class for (m, n)",
+        f"Refuses (exit 2) a class with (m+1)(n+1) above {MAX_CLASS_TERMS} terms.",
+        (
+            ("--m", "m", int, True, None, None),
+            ("--n", "n", int, True, None, None),
+            ("--format", "format", ("text", "json", "latex"), False, "text", None),
+        ),
+    ),
+    "transvect": (
+        cmd_transvect,
+        "first transvectant of two binary forms",
+        None,
+        (
+            ("--f", "f", str, True, None, "comma-separated rational coefficients, x-descending"),
+            ("--g", "g", str, True, None, "comma-separated rational coefficients, x-descending"),
+            ("--binomial", "binomial", bool, False, False, "interpret inputs in the binomially weighted basis"),
+            ("--json", "json", bool, False, False, "print a JSON envelope"),
+        ),
+    ),
+    "table": (
+        cmd_table,
+        "degrees for every admissible (d, a, b) with d <= N",
+        "Rows cover a >= 2, b >= 2, a | d, b | d with gcd(d/a, d/b) in {1, 2}, "
+        "deduplicated under (a, b) <-> (b, a) since the count is symmetric; "
+        f"refuses (exit 2) --max-d above {MAX_TABLE_D}; "
+        "TVCOUNT_THREADS=N evaluates rows in N worker processes (unset, 0 or 1 = serial), "
+        "about 4 chunks of rows per worker.",
+        (
+            ("--max-d", "max_d", int, True, None, None),
+            ("--csv", "csv", bool, False, False, "emit CSV (d,a,b,m,n,gcd,degree)"),
+        ),
+    ),
+    "selftest": (cmd_selftest, "recompute the known classical counts", None, ()),
+}
+
+
+def build_parser():
+    """The argparse parser of _COMMANDS; main() builds it only for help and
+    for argv that _read_argv() leaves to it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # usage errors exit 1 (argparse defaults to 2, which is reserved for invalid problems)
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="tvcount",
         description="Exact degree of the locus of degree-d binary forms expressible as f^a + g^b.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_count = sub.add_parser(
-        "count",
-        help="degree of the f^a + g^b locus",
-        description=f"Refuses (exit 2) a count with (m+1)(n+1) above {MAX_COUNT_TERMS} terms.",
-    )
-    p_count.add_argument("--m", type=int, help="degree of f (with --n; or use --d)")
-    p_count.add_argument("--n", type=int, help="degree of g")
-    p_count.add_argument("--a", type=int, required=True, help="first power")
-    p_count.add_argument("--b", type=int, required=True, help="second power")
-    p_count.add_argument("--d", type=int, help="total degree; sets m = d/a, n = d/b")
-    p_count.add_argument("--json", action="store_true", help="print a JSON envelope")
-    p_count.set_defaults(func=cmd_count)
-
-    p_class = sub.add_parser(
-        "class",
-        help="pushed-forward fundamental class for (m, n)",
-        description=f"Refuses (exit 2) a class with (m+1)(n+1) above {MAX_CLASS_TERMS} terms.",
-    )
-    p_class.add_argument("--m", type=int, required=True)
-    p_class.add_argument("--n", type=int, required=True)
-    p_class.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p_class.set_defaults(func=cmd_class)
-
-    p_tv = sub.add_parser("transvect", help="first transvectant of two binary forms")
-    p_tv.add_argument("--f", required=True, help="comma-separated rational coefficients, x-descending")
-    p_tv.add_argument("--g", required=True, help="comma-separated rational coefficients, x-descending")
-    p_tv.add_argument("--binomial", action="store_true", help="interpret inputs in the binomially weighted basis")
-    p_tv.add_argument("--json", action="store_true", help="print a JSON envelope")
-    p_tv.set_defaults(func=cmd_transvect)
-
-    p_table = sub.add_parser(
-        "table",
-        help="degrees for every admissible (d, a, b) with d <= N",
-        description="Rows cover a >= 2, b >= 2, a | d, b | d with gcd(d/a, d/b) in {1, 2}, "
-        "deduplicated under (a, b) <-> (b, a) since the count is symmetric; "
-        f"refuses (exit 2) --max-d above {MAX_TABLE_D}; "
-        "TVCOUNT_THREADS=N evaluates rows in N worker processes (unset, 0 or 1 = serial), "
-        "about 4 chunks of rows per worker.",
-    )
-    p_table.add_argument("--max-d", type=int, required=True, dest="max_d")
-    p_table.add_argument("--csv", action="store_true", help="emit CSV (d,a,b,m,n,gcd,degree)")
-    p_table.set_defaults(func=cmd_table)
-
-    p_self = sub.add_parser("selftest", help="recompute the known classical counts")
-    p_self.set_defaults(func=cmd_selftest)
-
+    for command, (func, summary, description, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary, description=description)
+        for flag, dest, kind, required, default, help_ in options:
+            how = {bool: {"action": "store_true"}, int: {"type": int}, str: {}}.get(kind, {"choices": kind})
+            p.add_argument(flag, dest=dest, required=required, default=default, help=help_, **how)
+        p.set_defaults(func=func)
     return parser
+
+
+def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace build_parser().parse_args(argv) gives for a well-formed
+    command, read without argparse; None for anything else, which main()
+    leaves to argparse: help, an unknown or abbreviated option, a bad or
+    missing value, a separate value that starts with "-" (argparse's
+    negative-number rule), a flag given "=value", a stray token or "--", or
+    a missing required option."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, _, options = _COMMANDS[argv[0]]
+    by_flag = {option[0]: option for option in options}
+    values = {dest: default for _, dest, _, _, default, _ in options}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in by_flag:
+            return None
+        _, dest, kind, _, _, _ = by_flag[flag]
+        if kind is bool:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                # a missing value reads as "-", which is argparse's too
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif kind is not str and value not in kind:
+                return None
+        values[dest] = value
+        given.add(dest)
+    if any(required and dest not in given for _, dest, _, required, _, _ in options):
+        return None
+    return types.SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def _attach_form_values(argv: list[str]) -> list[str]:
@@ -368,12 +431,13 @@ def _attach_form_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = _attach_form_values(sys.argv[1:] if argv is None else list(argv))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except Exception:

@@ -251,10 +251,9 @@ class TruncatedPolynomial:
     def __repr__(self) -> str:
         return f"TruncatedPolynomial(caps={self.spec.caps}, {str(self)!r})"
 
-    def to_latex(self, names: tuple[str, ...] | None = None) -> str:
+    def to_latex(self) -> str:
         """Render as LaTeX, terms sorted by exponent vector."""
-        if names is None:
-            names = tuple(f"\\zeta_{{{i + 1}}}" for i in range(self.spec.nvars))
+        names = tuple(f"\\zeta_{{{i + 1}}}" for i in range(self.spec.nvars))
         return self._render(names, " ", lambda n, e: n if e == 1 else f"{n}^{{{e}}}")
 
     # -- JSON ----------------------------------------------------------------

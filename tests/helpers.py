@@ -5,7 +5,7 @@ route, and the ring route for the gamma and beta classes: the
 recurrence, geometric-series, multinomial and explicit-sum forms, built with
 generic ring arithmetic instead of the count's closed forms, the per-term
 formulas of both classes with every binomial from math.comb, and the Horner
-route for the Chern integral."""
+route for the Chern integral, and the count's closed formula."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from tvcount import BinaryForm, TruncatedPolynomial, alpha_classes, beta_pushforward, geometric_inverse, transvectant, validate
-from tvcount.cycles import ambient_spec
+from tvcount.cycles import ambient_spec, gcd2_excess
 
 
 def rand_fraction(rng: random.Random, zero_ok: bool = True) -> Fraction:
@@ -228,3 +228,18 @@ def horner_chern_integral(problem, terms) -> int:
     if deg % 2:
         acc = acc * alpha1
     return (acc * beta_pushforward(problem.m, problem.n)).integrate()
+
+
+def closed_formula_count(problem) -> int:
+    """The count in closed form, with N = m+n and d = a*m:
+    a^m b^n - (d-N+1) C(N, m) - a C(N-1, m-1), and at gcd 2 less also
+    e20 (C(N,2) - a(N-1) + a^2) + e11 (b-1)(N-1)(a-N) + e02 C(N,2) (b-1)^2
+    with (e20, e11, e02) = gcd2_excess(m, n)."""
+    m, n, a, b = problem.m, problem.n, problem.a, problem.b
+    big_n, d = m + n, a * m
+    count = a**m * b**n - (d - big_n + 1) * math.comb(big_n, m) - a * math.comb(big_n - 1, m - 1)
+    if problem.gcd == 2:
+        e20, e11, e02 = gcd2_excess(m, n)
+        pairs = math.comb(big_n, 2)
+        count -= e20 * (pairs - a * (big_n - 1) + a * a) + e11 * (b - 1) * (big_n - 1) * (a - big_n) + e02 * pairs * (b - 1) ** 2
+    return count

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -597,7 +598,7 @@ def test_module_entry_point():
 def test_cli_import_loads_no_heavy_modules():
     # what a count process pays for before it starts: none of these, unless
     # interpreter start-up (site) had loaded them already
-    heavy = ("dataclasses", "inspect", "fractions", "decimal", "json", "traceback", "tvcount.forms")
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "json", "traceback", "tvcount.forms", "argparse")
     code = (
         "import sys; before = set(sys.modules); import tvcount.cli; "
         f"print([m for m in {heavy!r} if m in set(sys.modules) - before])"
@@ -606,3 +607,247 @@ def test_cli_import_loads_no_heavy_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- reading argv ------------------------------------------------------------------
+
+# every argv the tests above pass to main, one per line; the empty argv is
+# added in the test
+TEST_ARGV = """
+count --m 2 --n 3 --a 3 --b 2
+count --d 12 --a 3 --b 2
+count --m 2 --n 3 --a 3 --b 2 --json
+count --m 10 --n 21 --a 21 --b 10 --json
+count --m 1 --n 2 --a 2 --b 1
+count --m 1 --n 2 --a 2 --b 1 --json
+count --m 1 --n 1 --a 2 --b 2
+count --m 1 --n 1 --a 2 --b 2 --json
+count --m 2 --n 2 --a 2 --b 2
+count --m 2 --n 2 --a 2 --b 2 --json
+count --m 4 --n 8 --a 4 --b 2
+count --m 2 --n 3 --a 2 --b 3
+count --d 13 --a 3 --b 2
+count --d 6 --a 0 --b 2
+count --d 6 --a -3 --b 2
+count --d 6 --a 3 --b 0
+count --d 6 --a 3 --b -3
+count --d 0 --a 2 --b 3
+count --d -6 --a 3 --b 2
+count --a 3 --b 2
+count --m 2 --n 3 --d 6 --a 3 --b 2
+count --m 2 --n 3 --a 3
+count --m 511 --n 1023 --a 1023 --b 511
+count --m 511 --n 1023 --a 1023 --b 511 --json
+count --m 540 --n 1081 --a 1081 --b 540
+count --m 540 --n 1081 --a 1081 --b 540 --json
+count --m 2 --n 1000000 --a 500000 --b 1
+count --d 1000000000000 --a 1000000000000 --b 1
+count --m 1000 --n 1001 --a 1001 --b 1000
+count --m 510 --n 1021 --a 1021 --b 510
+count --m 784 --n 862 --a 431 --b 392
+count --m 1 --n 499999 --a 499999 --b 1
+count --m 104 --n 209 --a 209 --b 104
+count --m 104 --n 209 --a 209 --b 104 --json
+nonsense
+class --m 1 --n 1
+class --m 2 --n 2 --format latex
+class --m 2 --n 3 --format json
+class --m 3 --n 6
+class --m 3 --n 2
+class --m 1 --n 50000 --format json
+class --m 315 --n 317 --format json
+class --m 600 --n 1201 --format json
+class --m 1000000000 --n 2000000001 --format json
+class --m 1 --n 49999
+transvect --f 1,0,0 --g 0,1
+transvect --f 1,1 --g 1,1
+transvect --f 1,0 --g 0,1
+transvect --f 1/2,0,0 --g 0,1
+transvect --f 1,1,1 --g 1,1 --binomial
+transvect --f 1,0,0 --g 0,1 --json
+transvect --f -1,2 --g 1,1
+transvect --f=-1,2 --g 1,1
+transvect --g -1/2,0 --f -1,0,0 --json
+transvect --f --g 1,1
+transvect --f 1,oops --g 0,1
+transvect --f 1/0 --g 0,1
+transvect --f 1e10000000,1 --g 1,1
+transvect --f -2E-10000000,1 --g 1,1
+transvect --f 1e+1_0000000,1 --g 1,1
+transvect --f 1e4300,0 --g 0,1
+transvect --f 1e4300,0 --g 0,1 --json
+transvect --f 5 --g 0,1
+table --max-d -1
+table --max-d 6
+table --max-d 5 --csv
+table --max-d 1001 --csv
+table --max-d 27000 --csv
+table --max-d 1000000000000 --csv
+table --max-d 1000 --csv
+table --max-d 120 --csv
+table --max-d 10 --csv
+table --max-d 40 --csv
+table --max-d 6 --csv
+selftest
+--help
+"""
+
+# the argv shapes of the benchmark's cli workload, each of which the reader
+# must take
+BENCH_ARGV = """
+count --m 4 --n 6 --a 3 --b 2
+count --m 4 --n 6 --a 3 --b 2 --json
+count --d 12 --a 3 --b 2
+count --d 12 --a 3 --b 2 --json
+selftest
+class --m 2 --n 3 --format json
+class --m 3 --n 4 --format text
+class --m 4 --n 6 --format latex
+transvect --f=-3,1/2,0 --g=2,-7/3
+transvect --f=-3,1/2,0 --g=2,-7/3 --json
+count --m 3 --n 6 --a 2 --b 1
+count --d 7 --a 3 --b 2
+"""
+
+# argv the reader must leave to argparse, whatever argparse makes of them
+MALFORMED_ARGV = """
+-h
+coun --m 2 --n 3 --a 3 --b 2
+Count --m 2 --n 3 --a 3 --b 2
+--json count --m 2 --n 3 --a 3 --b 2
+table --max 6
+table --max=6 --csv
+count --m 2 --n 3 --a 3 --b 2 --js
+count --m 2 --n 3 --a 3 --b 2 --json=1
+count --m 2 --n 3 --a -3_000 --b 2
+count --m 2 --n 3 --a -3 --b 2
+class --m 2 --n 3 --format
+transvect --f 1,0 --g 0,1 --binomial=yes
+selftest --
+selftest 3
+"""
+
+FORMS = ("1,0", "-1,1/2", "3", "")
+# values that leave a command to argparse: a separate one that starts with
+# "-" (argparse's negative-number rule, which takes -3 but not -3_000), or
+# one that int() or the choices refuse
+BAD_INTS = ("-3", "-3_000", "3.0", "x", "")
+BAD_CHOICES = ("xml", "", "TEXT")
+STRAYS = ("3", "x", "count", "--", "-h", "--help", "-m", "--q", "--verbose")
+
+
+def option_tokens(rng, flag, value):
+    # "--m 3" or "--m=3", at random
+    return [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+
+
+def generated_argv(rng, per_command=300):
+    """(argv, well_formed) for each command: options in random order, each
+    value separate or after "=", and in most argv one defect."""
+    for command, (_, _, _, options) in cli._COMMANDS.items():
+        for _ in range(per_command):
+            units = []
+            for option in options:
+                flag, _, kind, required, _, _ = option
+                if not required and rng.random() < 0.5:
+                    continue
+                if kind is bool:
+                    units.append((option, [flag]))
+                    continue
+                value = str(rng.randint(-5, 10**6)) if kind is int else rng.choice(FORMS if kind is str else kind)
+                tokens = [f"{flag}={value}"] if value.startswith("-") else option_tokens(rng, flag, value)
+                units.append((option, tokens))
+            rng.shuffle(units)
+            spoilt = rng.random() < 0.6 and spoil(rng, options, units)
+            yield [command, *(token for _, tokens in units for token in tokens)], not spoilt
+
+
+def spoil(rng, options, units) -> bool:
+    """Give units one defect that leaves the command to argparse; False when
+    the defect drawn does not apply to them."""
+    kind = rng.randrange(6)
+    if kind == 0:  # a bad value
+        typed = [(option, tokens) for option, tokens in units if option[2] not in (str, bool)]
+        if not typed:
+            return False
+        option, tokens = rng.choice(typed)
+        value = rng.choice(BAD_INTS if option[2] is int else BAD_CHOICES)
+        tokens[:] = [option[0], value] if value.startswith("-") else option_tokens(rng, option[0], value)
+    elif kind == 1:  # an abbreviated option
+        long_ = [tokens for option, tokens in units if len(option[0]) > 3]
+        if not long_:
+            return False
+        tokens = rng.choice(long_)
+        flag, eq, value = tokens[0].partition("=")
+        tokens[0] = flag[: rng.randrange(3, len(flag))] + eq + value
+    elif kind == 2:  # a flag given a value
+        flags = [option for option in options if option[2] is bool]
+        if not flags:
+            return False
+        units.append((None, [f"{rng.choice(flags)[0]}={rng.choice(('1', '', 'yes'))}"]))
+    elif kind == 3:  # a stray token, "--", help or an unknown option
+        units.insert(rng.randrange(len(units) + 1), (None, [rng.choice(STRAYS)]))
+    elif kind == 4:  # a missing value
+        valued = [option for option in options if option[2] is not bool]
+        if not valued:
+            return False
+        units.append((None, [rng.choice(valued)[0]]))
+    else:  # a missing required option
+        required = [unit for unit in units if unit[0][3]]
+        if not required:
+            return False
+        units.remove(rng.choice(required))
+    return True
+
+
+def test_reader_agrees_with_argparse(capsys):
+    # the reader gives None, and main() argparse, or it gives what argparse
+    # gives; it takes every well-formed argv and leaves every malformed one
+    corpus = [(line.split(), None) for line in TEST_ARGV.strip().splitlines()]
+    corpus += [(line.split(), True) for line in BENCH_ARGV.strip().splitlines()]
+    corpus += [(line.split(), False) for line in MALFORMED_ARGV.strip().splitlines()]
+    # an empty argv, and a repeated option: the last value counts
+    corpus += [([], False), ("count --m 9 --m 2 --n 3 --a 3 --b 2 --json --json".split(), True)]
+    corpus += generated_argv(random.Random(17))
+    parser = cli.build_parser()
+    read = 0
+    for argv, well_formed in corpus:
+        argv = cli._attach_form_values(argv)
+        got = cli._read_argv(argv)
+        if well_formed is not None:
+            assert (got is not None) == well_formed, argv
+        if got is None:
+            continue
+        try:
+            want = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the reader took {argv}, which argparse refuses: {capsys.readouterr().err}")
+        assert vars(got) == vars(want), argv
+        read += 1
+    assert len(corpus) > 1500 and read > len(corpus) // 3
+
+
+@pytest.mark.parametrize(
+    "argv, imports_argparse",
+    [
+        (["count", "--m", "2", "--n", "3", "--a", "3", "--b", "2"], False),
+        (["class", "--m", "2", "--n", "3", "--format", "latex"], False),
+        (["transvect", "--f", "-1,2", "--g", "1,1"], False),
+        (["table", "--max-d", "6"], False),
+        (["selftest"], False),
+        (["--help"], True),
+        (["count", "--a", "3"], True),
+    ],
+)
+def test_well_formed_commands_do_not_import_argparse(argv, imports_argparse):
+    heavy = ("argparse", "gettext", "locale")
+    code = (
+        "import sys; before = set(sys.modules); from tvcount.cli import main; "
+        f"main({argv!r}); print([m for m in {heavy!r} if m in set(sys.modules) - before])"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "TVCOUNT_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": PACKAGE_ROOT})
+    loaded = proc.stdout.splitlines()[-1]
+    assert ("argparse" in loaded) == imports_argparse, loaded
+    if not imports_argparse:
+        assert loaded == "[]"

@@ -17,7 +17,15 @@ from tvcount import (
     integrate_chern_polynomial,
     validate,
 )
-from .helpers import all_admissible, brute_force_admissible, gamma_terms, horner_chern_integral, ring_route_count, segre_class
+from .helpers import (
+    all_admissible,
+    brute_force_admissible,
+    closed_formula_count,
+    gamma_terms,
+    horner_chern_integral,
+    ring_route_count,
+    segre_class,
+)
 from .sympy_reference import sympy_count
 
 
@@ -103,6 +111,18 @@ def test_degree_matches_ring_route():
     # geometric-series gamma, explicit-sum beta, general product loop
     for problem in admissible_tuples(40):
         assert degree_of_power_sum_locus(problem) == ring_route_count(problem), problem
+
+
+# edge tuples: b = 1, a = 1, a = b = 2, and m = n at gcd 1 and 2
+CLOSED_FORMULA_EDGES = ((1, 5, 5, 1), (2, 6, 3, 1), (1, 2, 4, 2), (2, 2, 3, 3), (2, 4, 4, 2), (1, 1, 2, 2), (2, 2, 2, 2), (1, 1, 1, 1), (2, 2, 1, 1))
+
+
+def test_degree_matches_closed_formula():
+    # the formula shares with the kernel only gcd2_excess's constants
+    problems = admissible_tuples(150)
+    assert len(problems) == 1310
+    for problem in [*problems, *(validate(*t) for t in CLOSED_FORMULA_EDGES)]:
+        assert degree_of_power_sum_locus(problem) == closed_formula_count(problem), problem
 
 
 def test_degree_nonnegative_small():
