@@ -8,52 +8,17 @@ exact rationals backs the validation suites; its names load on first use
 (PEP 562), so a count never imports ``fractions``.
 """
 
-from .counting import (
-    WeightPair,
-    admissible_tuples,
-    degree_of_power_sum_locus,
-    fixed_point_weights,
-    integrate_chern_polynomial,
-    validate,
-)
-from .cycles import (
-    PowerSumProblem,
-    alpha_classes,
-    ambient_spec,
-    beta_pushforward,
-    blowup_class_S,
-    gamma_class,
-)
-from .ring import RingSpec, TruncatedPolynomial, geometric_inverse
+from . import counting, cycles, ring
+from .counting import *  # noqa: F403
+from .cycles import *  # noqa: F403
+from .ring import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryForm",
-    "PowerSumProblem",
-    "RingSpec",
-    "TruncatedPolynomial",
-    "WeightPair",
-    "admissible_tuples",
-    "alpha_classes",
-    "ambient_spec",
-    "beta_pushforward",
-    "blowup_class_S",
-    "degree_of_power_sum_locus",
-    "fixed_point_weights",
-    "gamma_class",
-    "geometric_inverse",
-    "integrate_chern_polynomial",
-    "mul_form",
-    "pow_form",
-    "transvectant",
-    "transvectant_support",
-    "validate",
-    "__version__",
-]
-
 # the forms engine, loaded on first access
 _FORMS_NAMES = ("BinaryForm", "mul_form", "pow_form", "transvectant", "transvectant_support")
+
+__all__ = sorted([*counting.__all__, *cycles.__all__, *ring.__all__, *_FORMS_NAMES]) + ["__version__"]
 
 
 def __getattr__(name: str):

@@ -5,7 +5,7 @@ value types.
 from its caller.  ``Frozen`` gives a slotted class what
 ``@dataclass(frozen=True)`` gave it, without importing ``dataclasses``
 (which pulls in ``inspect``, ``ast`` and ``dis``) at every start of the
-command-line tool.
+command-line tool.  A subclass's fields are its ``__slots__``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ def integer(name: str, value, low: int | None = 0) -> int:
 class Frozen:
     """Immutable value whose fields are the subclass's ``__slots__``.
 
-    A subclass sets each field once in ``__init__`` with
-    ``object.__setattr__`` and returns their values, in ``__slots__`` order,
-    from ``_fields``.  Instances then compare, hash, print and pickle as a
-    frozen dataclass with the same fields does: equal only to instances of
+    A subclass lists its fields once, as ``__slots__``, and sets each in
+    ``__init__`` with ``object.__setattr__``; ``_fields`` reads them in that
+    order.  Instances then compare, hash, print and pickle as a frozen
+    dataclass with the same fields does: equal only to instances of
     the same class, ``Name(field=value, ...)`` as repr, and assigning or
     deleting a field raises ``AttributeError``.  Unpickling calls the class
     with the field values, so ``__init__`` checks them again.
@@ -53,8 +53,7 @@ class Frozen:
     __slots__ = ()
 
     def _fields(self) -> tuple:
-        # spelled out per class: rings compare their specs on every product
-        raise NotImplementedError
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

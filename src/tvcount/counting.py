@@ -9,6 +9,15 @@ from collections.abc import Iterable
 from ._frozen import Frozen, integer, integral
 from .cycles import PowerSumProblem, beta_pushforward, gamma_class, gcd2_excess
 
+__all__ = [
+    "WeightPair",
+    "admissible_tuples",
+    "degree_of_power_sum_locus",
+    "fixed_point_weights",
+    "integrate_chern_polynomial",
+    "validate",
+]
+
 
 def validate(m: int, n: int, a: int, b: int) -> PowerSumProblem:
     """The PowerSumProblem for raw input: calling it is the same as calling
@@ -83,9 +92,6 @@ class WeightPair(Frozen):
     def __init__(self, w1: int, w2: int) -> None:
         object.__setattr__(self, "w1", integer("w1", w1, None))
         object.__setattr__(self, "w2", integer("w2", w2, None))
-
-    def _fields(self) -> tuple:
-        return (self.w1, self.w2)
 
     def sorted(self) -> tuple[int, int]:
         return (self.w1, self.w2) if self.w1 <= self.w2 else (self.w2, self.w1)

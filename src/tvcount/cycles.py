@@ -13,6 +13,8 @@ from itertools import accumulate
 from ._frozen import Frozen, integer
 from .ring import RingSpec, TruncatedPolynomial, geometric_inverse
 
+__all__ = ["PowerSumProblem", "alpha_classes", "ambient_spec", "beta_pushforward", "blowup_class_S", "gamma_class"]
+
 
 class PowerSumProblem(Frozen):
     """The problem (m, n, a, b) of the forms f^a + g^b with deg f = m and
@@ -42,9 +44,6 @@ class PowerSumProblem(Frozen):
             raise ValueError(f"unsupported gcd(m, n) = {math.gcd(m, n)}; only 1 and 2 are supported")
         for name, v in zip(self.__slots__, (m, n, a, b)):
             object.__setattr__(self, name, v)
-
-    def _fields(self) -> tuple:
-        return (self.m, self.n, self.a, self.b)
 
     @property
     def d(self) -> int:
@@ -102,9 +101,11 @@ def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:
                + (n/2)^2 z1^m z2^(n-2))
     of the locus of pairs of powers of a common quadratic.  Among the
     candidate exponent layouts for the middle terms, this is the only one
-    that is homogeneous of degree m+n-2 with exponents within caps, and it
-    reproduces 3762 and 626327.  40 and 3762 are classical anchors; 29822
-    and 626327 are the paper's own values.
+    that is homogeneous of degree m+n-2 with exponents within caps.  The
+    factor 2^(m-2) was chosen because it reproduces 3762 (classical) and
+    626327 (the paper's own value); no test checks it against the geometry,
+    and an independent local computation of the multiplicity at a base
+    point gives 9 at (m, n) = (4, 10), where 2^(m-2) is 4 (ROADMAP.md).
     """
     spec = ambient_spec(m, n)
     m, n, top = spec.caps

@@ -17,6 +17,8 @@ from operator import le, mul, sub
 
 from ._frozen import Frozen, integer, integral
 
+__all__ = ["RingSpec", "TruncatedPolynomial", "geometric_inverse"]
+
 
 class RingSpec(Frozen):
     """Per-variable exponent caps (c1, ..., ck).
@@ -33,9 +35,6 @@ class RingSpec(Frozen):
         if len(caps) == 0:
             raise ValueError("RingSpec needs at least one variable")
         object.__setattr__(self, "caps", caps)
-
-    def _fields(self) -> tuple:
-        return (self.caps,)
 
     @property
     def nvars(self) -> int:

@@ -1,6 +1,7 @@
 """Binary forms and the first transvectant: examples, exact identities, and
 the structural coefficients of the transvectant in the binomial view."""
 
+import importlib
 import random
 from fractions import Fraction
 from math import comb
@@ -163,7 +164,33 @@ def test_transvectant_matches_derivative_route():
 # -- package exports --------------------------------------------------------------
 
 
+PUBLIC_NAMES = [
+    "BinaryForm",
+    "PowerSumProblem",
+    "RingSpec",
+    "TruncatedPolynomial",
+    "WeightPair",
+    "admissible_tuples",
+    "alpha_classes",
+    "ambient_spec",
+    "beta_pushforward",
+    "blowup_class_S",
+    "degree_of_power_sum_locus",
+    "fixed_point_weights",
+    "gamma_class",
+    "geometric_inverse",
+    "integrate_chern_polynomial",
+    "mul_form",
+    "pow_form",
+    "transvectant",
+    "transvectant_support",
+    "validate",
+    "__version__",
+]
+
+
 def test_package_exposes_every_name_in_all():
+    assert tvcount.__all__ == PUBLIC_NAMES
     assert tvcount.transvectant is forms.transvectant
     assert set(tvcount.__all__) <= set(dir(tvcount))
     namespace: dict = {}
@@ -172,6 +199,39 @@ def test_package_exposes_every_name_in_all():
     assert namespace["BinaryForm"] is forms.BinaryForm
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         tvcount.nonexistent
+
+
+@pytest.mark.parametrize(
+    "module, names",
+    [
+        (
+            "counting",
+            [
+                "WeightPair",
+                "admissible_tuples",
+                "degree_of_power_sum_locus",
+                "fixed_point_weights",
+                "integrate_chern_polynomial",
+                "validate",
+            ],
+        ),
+        (
+            "cycles",
+            ["PowerSumProblem", "alpha_classes", "ambient_spec", "beta_pushforward", "blowup_class_S", "gamma_class"],
+        ),
+        ("ring", ["RingSpec", "TruncatedPolynomial", "geometric_inverse"]),
+    ],
+)
+def test_star_import_binds_exactly_the_module_all(module, names):
+    # chern_roots, gcd2_excess and the imports stay module-level names only
+    mod = importlib.import_module(f"tvcount.{module}")
+    assert mod.__all__ == names
+    namespace: dict = {}
+    exec(f"from tvcount.{module} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == names
+    assert all(getattr(tvcount, name) is value for name, value in namespace.items())
+    assert {"chern_roots", "gcd2_excess", "math"}.isdisjoint(namespace)
 
 
 # -- exact identities (spot checks; the full randomized suite runs in acceptance) --
