@@ -8,8 +8,6 @@ from its caller.  ``Frozen`` gives a slotted class what
 command-line tool.  A subclass's fields are its ``__slots__``.
 """
 
-from __future__ import annotations
-
 
 def integral(value) -> int | None:
     """``value`` as an exact int if it is integral and not a bool, else

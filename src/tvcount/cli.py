@@ -2,7 +2,8 @@
 
 Subcommands: count, class, transvect, table, selftest.
 Exit codes: 0 success, 1 usage error, 2 invalid problem, a count, class or
-table over its budget or a result too long to print, 3 self-test failure.
+table over its budget or a result too long to print, 3 self-test mismatch or
+internal failure.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
@@ -11,8 +12,6 @@ functions that use them, and argparse only for help and usage errors: main()
 reads a well-formed command itself, from the same option table that
 build_parser() turns into the argparse parser.
 """
-
-from __future__ import annotations
 
 import math
 import os
@@ -27,6 +26,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_SELFTEST = 3
+
+# a problem's columns, in the order table prints them; count --json reports
+# the same fields
+COLUMNS = ("d", "a", "b", "m", "n", "gcd")
 
 # the counts `selftest` checks: 40 and 3762 are classical anchors, 29822 and
 # 626327 the paper's own values
@@ -54,11 +57,6 @@ def _print_envelope(command: str, inputs: dict, result, warnings: list[str]) -> 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _count_payload(problem: PowerSumProblem, degree_text: str) -> dict:
-    payload = {k: getattr(problem, k) for k in ("m", "n", "a", "b", "d", "gcd")}
-    return {**payload, "degree": degree_text}
 
 
 def cmd_count(args) -> int:
@@ -99,7 +97,8 @@ def cmd_count(args) -> int:
     if a == b == 2:
         warnings.append(SQUARES_WARNING)
     if args.json:
-        _print_envelope("count", inputs, _count_payload(problem, degree_text), warnings)
+        result = {k: getattr(problem, k) for k in COLUMNS}
+        _print_envelope("count", inputs, {**result, "degree": degree_text}, warnings)
     else:
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -192,24 +191,22 @@ def _parse_coefficient(text: str):
     return Fraction(text)
 
 
-def _parse_form(text: str):
+def _parse_form(text: str, binomial: bool):
     from .forms import BinaryForm
 
     coeffs = [_parse_coefficient(part.strip()) for part in text.split(",")]
-    return BinaryForm(len(coeffs) - 1, coeffs)
+    build = BinaryForm.from_binomial if binomial else BinaryForm
+    return build(len(coeffs) - 1, coeffs)
 
 
 def cmd_transvect(args) -> int:
     from . import forms
 
     try:
-        f = _parse_form(args.f)
-        g = _parse_form(args.g)
+        f = _parse_form(args.f, args.binomial)
+        g = _parse_form(args.g, args.binomial)
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(f"malformed coefficient list: {exc}", EXIT_USAGE)
-    if args.binomial:
-        f = forms.BinaryForm.from_binomial(f.degree, f.coeffs)
-        g = forms.BinaryForm.from_binomial(g.degree, g.coeffs)
     try:
         t = forms.transvectant(f, g)
     except ValueError as exc:
@@ -226,8 +223,8 @@ def cmd_transvect(args) -> int:
     return EXIT_OK
 
 
-def _table_row(problem: PowerSumProblem) -> tuple[int, int, int, int, int, int, int]:
-    return (problem.d, problem.a, problem.b, problem.m, problem.n, problem.gcd, degree_of_power_sum_locus(problem))
+def _table_row(problem: PowerSumProblem) -> tuple[int, ...]:
+    return (*[getattr(problem, k) for k in COLUMNS], degree_of_power_sum_locus(problem))
 
 
 def _worker_cap(n_jobs: int) -> int:
@@ -271,7 +268,7 @@ def cmd_table(args) -> int:
     else:
         rows = [_table_row(p) for p in problems]
 
-    header = ("d", "a", "b", "m", "n", "gcd", "degree")
+    header = (*COLUMNS, "degree")
     if args.csv:
         print(",".join(header))
         for row in rows:
@@ -342,7 +339,7 @@ _COMMANDS = {
         "about 4 chunks of rows per worker.",
         (
             ("--max-d", "max_d", int, True, None, None),
-            ("--csv", "csv", bool, False, False, "emit CSV (d,a,b,m,n,gcd,degree)"),
+            ("--csv", "csv", bool, False, False, f"emit CSV ({','.join(COLUMNS)},degree)"),
         ),
     ),
     "selftest": (cmd_selftest, "recompute the known classical counts", None, ()),

@@ -1,8 +1,6 @@
 """Top-level enumerative API: validation, counts, Chern-polynomial
 integration, and fixed-point weight bookkeeping."""
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable
 

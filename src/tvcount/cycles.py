@@ -4,8 +4,6 @@ All classes live in the Chow ring of P^m x P^n x P^(m+n-2), i.e. caps
 (m, n, m+n-2); z1, z2, z3 are the pulled-back hyperplane classes.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from itertools import accumulate

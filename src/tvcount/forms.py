@@ -10,8 +10,6 @@ The binomially weighted coordinates of classical invariant theory
 transvectant itself is always reported in the plain basis.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, lcm

@@ -9,8 +9,6 @@ Polynomials are immutable values: every operation returns a fresh object,
 no stored coefficient is zero, and no stored exponent exceeds its cap.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import repeat
 from operator import le, mul, sub

@@ -231,6 +231,16 @@ def test_transvect_binomial_input(capsys):
     code, out, _ = run_cli(capsys, "transvect", "--f", "1,1,1", "--g", "1,1", "--binomial")
     assert (code, out.strip()) == (0, "0,0")
 
+    # f = 1,2,3 weighted is x^2 + 4xy + 3y^2; {f, 4x + 5y} = 5 f_x - 4 f_y
+    argv = ("transvect", "--f", "1,2,3", "--g", "4,5", "--binomial")
+    assert run_cli(capsys, *argv) == (0, "-6,-4\n", "")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert out == (
+        '{"command": "transvect", "inputs": {"binomial": true, "f": "1,2,3", "g": "4,5"}, '
+        '"result": {"coeffs": ["-6", "-4"], "degree": 1}, "warnings": []}\n'
+    )
+
 
 def test_transvect_json(capsys):
     code, out, _ = run_cli(capsys, "transvect", "--f", "1,0,0", "--g", "0,1", "--json")
@@ -504,6 +514,17 @@ def test_table_120_output_is_pinned(capsys, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 986 + 1
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_120_SHA256
+
+
+# sha256 of `table --max-d 40`: the aligned columns, padding included
+TABLE_40_ALIGNED_SHA256 = "1b0168ca272e87cc2362ec0ac15fecb2939cf25827f10b4a4cd5305fb3ef4406"
+
+
+def test_table_40_aligned_output_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("TVCOUNT_THREADS", raising=False)
+    code, out, _ = run_cli(capsys, "table", "--max-d", "40")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_40_ALIGNED_SHA256
 
 
 def test_table_deterministic_and_thread_capped(capsys, monkeypatch):
@@ -840,7 +861,7 @@ def test_reader_agrees_with_argparse(capsys):
     ],
 )
 def test_well_formed_commands_do_not_import_argparse(argv, imports_argparse):
-    heavy = ("argparse", "gettext", "locale")
+    heavy = ("argparse", "gettext", "locale", "__future__")
     code = (
         "import sys; before = set(sys.modules); from tvcount.cli import main; "
         f"main({argv!r}); print([m for m in {heavy!r} if m in set(sys.modules) - before])"
