@@ -1,11 +1,13 @@
-"""The package's integer gate and the base class of its small immutable
-value types.
+"""The package's integer gate, the base class of its small immutable value
+types, and the one printer of a sum of monomials.
 
 ``integer`` is the one rule by which every public function reads an integer
 from its caller.  ``Frozen`` gives a slotted class what
 ``@dataclass(frozen=True)`` gave it, without importing ``dataclasses``
 (which pulls in ``inspect``, ``ast`` and ``dis``) at every start of the
 command-line tool.  A subclass's fields are its ``__slots__``.
+``render_terms`` prints binary forms and Chow-ring classes alike, as text
+or as LaTeX.
 """
 
 
@@ -73,3 +75,21 @@ class Frozen:
 
     def __reduce__(self):
         return (self.__class__, self._fields())
+
+
+def render_terms(terms, names: tuple[str, ...], mul: str, power) -> str:
+    """A sum of monomials as text: ``terms`` are (exponents, coefficient)
+    pairs with nonzero coefficients, in print order; ``names`` are the
+    variables, ``mul`` joins a term's factors and ``power(name, e)`` writes
+    one factor.  A coefficient of 1 or -1 shows only as a sign unless the term
+    is constant, and the empty sum is "0"."""
+    parts = []
+    for exps, coeff in terms:
+        factors = [power(names[i], e) for i, e in enumerate(exps) if e]
+        mag = abs(coeff)
+        body = mul.join(([str(mag)] if mag != 1 or not factors else []) + factors)
+        if not parts:
+            parts.append(("-" if coeff < 0 else "") + body)
+        else:
+            parts.append(("- " if coeff < 0 else "+ ") + body)
+    return " ".join(parts) if parts else "0"

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: count, class, transvect, table, selftest.
-Exit codes: 0 success, 1 usage error, 2 invalid problem, a count, class or
-table over its budget or a result too long to print, 3 self-test mismatch or
-internal failure.
+Exit codes: 0 success, 1 usage error, 2 invalid problem, a count, class,
+table or transvect over its budget or a result too long to print, 3 self-test
+mismatch or internal failure.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
@@ -80,12 +80,8 @@ def cmd_count(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), EXIT_INVALID)
     m, n, a, b = problem.m, problem.n, problem.a, problem.b
-    if (m + 1) * (n + 1) > MAX_COUNT_TERMS:
-        return _fail(
-            f"the count for (m,n,a,b)=({m},{n},{a},{b}) has up to (m+1)(n+1) = {(m + 1) * (n + 1)} terms, "
-            f"more than the {MAX_COUNT_TERMS} that count builds",
-            EXIT_INVALID,
-        )
+    if refused := _over_budget("count", f"count for (m,n,a,b)=({m},{n},{a},{b})", m, n, MAX_COUNT_TERMS):
+        return _fail(refused, EXIT_INVALID)
     if too_long := _too_long(problem):
         return _fail(too_long, EXIT_INVALID)
     degree = degree_of_power_sum_locus(problem)
@@ -106,6 +102,16 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _over_budget(command: str, subject: str, m: int, n: int, budget: int) -> str | None:
+    """The one-line refusal of a ``subject`` of up to (m+1)(n+1) terms when
+    that is more than ``budget``, the most that ``command`` builds, else
+    None."""
+    terms = (m + 1) * (n + 1)
+    if terms > budget:
+        return f"the {subject} has up to (m+1)(n+1) = {terms} terms, more than the {budget} that {command} builds"
+    return None
+
+
 # the most terms a count builds, bounding (m+1)(n+1), which gamma's and beta's
 # term counts stay under; it bounds the counts the digit estimate does not: a
 # limit of 0, and b = 1, which the estimate gives no weight.  It admits every
@@ -123,12 +129,8 @@ MAX_CLASS_TERMS = 100_000
 
 def cmd_class(args) -> int:
     m, n = args.m, args.n
-    if m > 0 and n > 0 and (m + 1) * (n + 1) > MAX_CLASS_TERMS:
-        return _fail(
-            f"the class for (m,n)=({m},{n}) has up to (m+1)(n+1) = {(m + 1) * (n + 1)} terms, "
-            f"more than the {MAX_CLASS_TERMS} that class builds",
-            EXIT_INVALID,
-        )
+    if m > 0 and n > 0 and (refused := _over_budget("class", f"class for (m,n)=({m},{n})", m, n, MAX_CLASS_TERMS)):
+        return _fail(refused, EXIT_INVALID)
     try:
         cls = beta_pushforward(m, n)
     except ValueError as exc:
@@ -199,9 +201,20 @@ def _parse_form(text: str, binomial: bool):
     return build(len(coeffs) - 1, coeffs)
 
 
+# the most products f_i * g_j transvect sums, bounding (m+1)(n+1) for forms
+# of degrees m and n, read from the comma counts before a coefficient is
+# parsed: at the budget, two forms of one-digit coefficients take about 0.2 s
+# on a 2-vCPU VM, and two forms that fill a 128 KiB argument each would take
+# minutes
+MAX_TRANSVECT_TERMS = 1_000_000
+
+
 def cmd_transvect(args) -> int:
     from . import forms
 
+    m, n = args.f.count(","), args.g.count(",")
+    if refused := _over_budget("transvect", f"transvectant of forms of degrees (m,n)=({m},{n})", m, n, MAX_TRANSVECT_TERMS):
+        return _fail(refused, EXIT_INVALID)
     try:
         f = _parse_form(args.f, args.binomial)
         g = _parse_form(args.g, args.binomial)
@@ -321,7 +334,7 @@ _COMMANDS = {
     "transvect": (
         cmd_transvect,
         "first transvectant of two binary forms",
-        None,
+        f"Refuses (exit 2) forms of degrees m and n with (m+1)(n+1) above {MAX_TRANSVECT_TERMS} terms.",
         (
             ("--f", "f", str, True, None, "comma-separated rational coefficients, x-descending"),
             ("--g", "g", str, True, None, "comma-separated rational coefficients, x-descending"),

@@ -14,12 +14,12 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, lcm
 
-from ._frozen import integer
+from ._frozen import Frozen, integer, render_terms
 
 Rationalish = int | str | Fraction
 
 
-class BinaryForm:
+class BinaryForm(Frozen):
     """Binary form sum(coeffs[i] * x^(degree-i) * y^i) over the rationals."""
 
     __slots__ = ("degree", "coeffs")
@@ -29,15 +29,15 @@ class BinaryForm:
         cs = tuple(Fraction(c) for c in coeffs)
         if len(cs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients, got {len(cs)}")
-        self.degree = degree
-        self.coeffs = cs
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", cs)
 
     @classmethod
     def _from_clean(cls, degree: int, coeffs: tuple[Fraction, ...]) -> "BinaryForm":
         # fast constructor for coefficients already known to be valid
         form = object.__new__(cls)
-        form.degree = degree
-        form.coeffs = coeffs
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "coeffs", coeffs)
         return form
 
     @classmethod
@@ -113,26 +113,12 @@ class BinaryForm:
             result = result * self
         return result
 
-    # -- comparison / rendering ----------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-    __hash__ = None
+    # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
         e = self.degree
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            xs = "" if e - i == 0 else ("x" if e - i == 1 else f"x^{e - i}")
-            ys = "" if i == 0 else ("y" if i == 1 else f"y^{i}")
-            body = "*".join(s for s in (str(abs(c)) if abs(c) != 1 or (not xs and not ys) else "", xs, ys) if s)
-            parts.append((("-" if c < 0 else "") if not parts else ("- " if c < 0 else "+ ")) + body)
-        return " ".join(parts) if parts else "0"
+        terms = (((e - i, i), c) for i, c in enumerate(self.coeffs) if c)
+        return render_terms(terms, ("x", "y"), "*", lambda n, k: n if k == 1 else f"{n}^{k}")
 
     def __repr__(self) -> str:
         return f"BinaryForm(degree={self.degree}, {str(self)!r})"

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from itertools import repeat
 from operator import le, mul, sub
 
-from ._frozen import Frozen, integer, integral
+from ._frozen import Frozen, integer, integral, render_terms
 
 __all__ = ["RingSpec", "TruncatedPolynomial", "geometric_inverse"]
 
@@ -227,23 +227,9 @@ class TruncatedPolynomial:
         """Terms ordered lexicographically by exponent vector."""
         return iter(sorted(self.terms.items()))
 
-    def _render(self, names: tuple[str, ...], mul: str, power) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = [power(names[i], e) for i, e in enumerate(exps) if e]
-            mag = abs(coeff)
-            body = mul.join(([str(mag)] if mag != 1 or not factors else []) + factors)
-            if not parts:
-                parts.append(("-" if coeff < 0 else "") + body)
-            else:
-                parts.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(parts)
-
     def __str__(self) -> str:
         names = tuple(f"z{i + 1}" for i in range(self.spec.nvars))
-        return self._render(names, "*", lambda n, e: n if e == 1 else f"{n}^{e}")
+        return render_terms(self.sorted_terms(), names, "*", lambda n, e: n if e == 1 else f"{n}^{e}")
 
     def __repr__(self) -> str:
         return f"TruncatedPolynomial(caps={self.spec.caps}, {str(self)!r})"
@@ -251,7 +237,7 @@ class TruncatedPolynomial:
     def to_latex(self) -> str:
         """Render as LaTeX, terms sorted by exponent vector."""
         names = tuple(f"\\zeta_{{{i + 1}}}" for i in range(self.spec.nvars))
-        return self._render(names, " ", lambda n, e: n if e == 1 else f"{n}^{{{e}}}")
+        return render_terms(self.sorted_terms(), names, " ", lambda n, e: n if e == 1 else f"{n}^{{{e}}}")
 
     # -- JSON ----------------------------------------------------------------
 

@@ -14,7 +14,7 @@ import pytest
 
 import tvcount
 from tvcount import admissible_tuples, beta_pushforward, cli, integrate_chern_polynomial, validate
-from tvcount.cli import DEFAULT_MAX_DIGITS, MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, SQUARES_WARNING, main
+from tvcount.cli import DEFAULT_MAX_DIGITS, MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, MAX_TRANSVECT_TERMS, SQUARES_WARNING, main
 from tvcount.cycles import gcd2_excess
 
 from .helpers import brute_force_admissible, gamma_terms
@@ -459,6 +459,32 @@ def test_transvect_degree_zero_exit_2(capsys):
     code, _, err = run_cli(capsys, "transvect", "--f", "5", "--g", "0,1")
     assert code == 2
     assert "below degree 1" in err
+
+
+def not_parsed(text):
+    raise AssertionError(f"the coefficient {text!r} was parsed")
+
+
+@pytest.mark.parametrize("m, n", [(1000, 999), (1, 500_000), (65_534, 65_534)])
+def test_transvect_over_its_term_budget_exits_2_before_parsing(capsys, monkeypatch, m, n):
+    # 65 535 coefficients fill one 128 KiB argument; a transvectant of two
+    # such forms would take minutes
+    assert (m + 1) * (n + 1) > MAX_TRANSVECT_TERMS
+    monkeypatch.setattr(cli, "_parse_coefficient", not_parsed)
+    f, g = ",".join(["1/3"] * (m + 1)), ",".join(["-2"] * (n + 1))
+    code, out, err, seconds = timed_cli(capsys, "transvect", "--f", f, "--g", g, "--json")
+    assert (code, out) == (2, "") and seconds < 1
+    assert err.count("\n") == 1 and f"more than the {MAX_TRANSVECT_TERMS} that transvect builds" in err
+    assert f"(m,n)=({m},{n}) has up to (m+1)(n+1) = {(m + 1) * (n + 1)} terms" in err
+
+
+def test_transvect_at_its_term_budget_is_computed(capsys, monkeypatch):
+    # (m+1)(n+1) == 12 at degrees (2, 3) and (3, 2), and 16 at (3, 3)
+    monkeypatch.setattr(cli, "MAX_TRANSVECT_TERMS", 12)
+    assert run_cli(capsys, "transvect", "--f", "1,0,0", "--g", "0,0,0,1") == (0, "0,0,6,0\n", "")
+    assert run_cli(capsys, "transvect", "--f", "0,0,0,1", "--g", "1,0,0", "--binomial") == (0, "0,0,-6,0\n", "")
+    code, out, err = run_cli(capsys, "transvect", "--f", "0,0,0,1", "--g", "1,0,0,0")
+    assert (code, out) == (2, "") and "more than the 12 that transvect builds" in err
 
 
 # -- table ------------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 integration, fixed-point weights, and the independent sympy and ring-route
 cross-checks."""
 
+import math
 import random
 
 import pytest
@@ -134,6 +135,43 @@ def test_degree_matches_sympy_reference():
     for problem in all_admissible(24):
         got = degree_of_power_sum_locus(problem)
         assert got == sympy_count(problem.m, problem.n, problem.a, problem.b), problem
+
+
+def differences(values: list[int], order: int) -> list[int]:
+    for _ in range(order):
+        values = [v - u for u, v in zip(values, values[1:])]
+    return values
+
+
+# a family fixes (m, n) and scales (a, b) = t * (n, m) / gcd(m, n); a family's
+# count as a polynomial in t, summed from (power of t, coefficient)
+FAMILY_POLYNOMIALS = {
+    (2, 3): ((5, 72), (1, -72), (0, 40)),
+    (4, 6): ((10, 5184), (2, -7920), (1, 9108), (0, -2610)),
+    (4, 10): ((14, 640000), (2, -42000), (1, 33150), (0, -4823)),
+}
+
+
+def test_count_along_a_family_is_its_leading_power_plus_a_low_polynomial():
+    # count - a^m b^n is linear in t at gcd 1 and quadratic at gcd 2: a check
+    # that shares no constant with the closed formula or the excess correction
+    families = {1: 0, 2: 0}
+    for m in range(1, 9):
+        for n in range(m, 17):
+            g = math.gcd(m, n)
+            if g > 2:
+                continue
+            families[g] += 1
+            counts, rest = [], []
+            for t in range(1, 8):
+                a, b = t * n // g, t * m // g
+                counts.append(degree_of_power_sum_locus(validate(m, n, a, b)))
+                rest.append(counts[-1] - a**m * b**n)
+            assert differences(rest, g + 1) == [0] * (6 - g), (m, n)
+            if (m, n) in FAMILY_POLYNOMIALS:
+                expected = [sum(c * t**k for k, c in FAMILY_POLYNOMIALS[m, n]) for t in range(1, 8)]
+                assert counts == expected, (m, n)
+    assert families == {1: 62, 2: 17}
 
 
 # -- integrate_chern_polynomial ---------------------------------------------------------

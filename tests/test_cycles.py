@@ -1,6 +1,7 @@
 """Cycle classes: blow-up classes, the pushed-forward fundamental class, and
 the alpha/gamma classes feeding the intersection product."""
 
+import hashlib
 import math
 
 import pytest
@@ -90,6 +91,19 @@ def test_beta_pushforward_errors():
         beta_pushforward(3, 2)
     with pytest.raises(ValueError):
         beta_pushforward(0, 2)
+
+
+# sha256 of the str and of the to_latex of beta_pushforward(m, n) for every
+# 1 <= m <= n <= 12 with gcd(m, n) <= 2, one class a line
+BETA_TEXT_SHA256 = "9b2f4cd664d5dc4baa430428d21fe54a5e9d20e6cc40ef0bdcafa0009f31de58"
+BETA_LATEX_SHA256 = "3aed43879ee0db8e2c3e0e523d62615f43837d0f9818035196ccc1b40220f67c"
+
+
+def test_beta_class_text_and_latex_are_pinned():
+    classes = [beta_pushforward(m, n) for n in range(1, 13) for m in range(1, n + 1) if math.gcd(m, n) <= 2]
+    assert len(classes) == 58
+    assert hashlib.sha256("\n".join(map(str, classes)).encode()).hexdigest() == BETA_TEXT_SHA256
+    assert hashlib.sha256("\n".join(c.to_latex() for c in classes).encode()).hexdigest() == BETA_LATEX_SHA256
 
 
 def test_beta_pushforward_is_homogeneous():

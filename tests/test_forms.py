@@ -1,6 +1,7 @@
 """Binary forms and the first transvectant: examples, exact identities, and
 the structural coefficients of the transvectant in the binomial view."""
 
+import hashlib
 import importlib
 import random
 from fractions import Fraction
@@ -59,6 +60,46 @@ def test_binomial_view_roundtrip():
 def test_binomial_view_weights():
     f = BinaryForm.from_binomial(3, [1, 1, 0, 0])
     assert f.coeffs == (Fraction(1), Fraction(3), Fraction(0), Fraction(0))
+
+
+# -- rendering ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "degree, coeffs, text",
+    [
+        (3, [0, 0, 0, 0], "0"),
+        (0, [5], "5"),
+        (0, [-1], "-1"),
+        (0, ["-2/3"], "-2/3"),
+        (2, [1, -1, 1], "x^2 - x*y + y^2"),
+        (3, [-1, 0, 0, 1], "-x^3 + y^3"),
+        (2, ["1/2", "-3/4", 2], "1/2*x^2 - 3/4*x*y + 2*y^2"),
+        # vanishing leading coefficients: the formal degree stays in repr
+        (3, [0, 0, -1, "5/3"], "-x*y^2 + 5/3*y^3"),
+        (1, [0, -1], "-y"),
+        (4, [0, 0, 0, 0, 7], "7*y^4"),
+    ],
+)
+def test_form_str_and_repr(degree, coeffs, text):
+    form = BinaryForm(degree, coeffs)
+    assert str(form) == text
+    assert repr(form) == f"BinaryForm(degree={degree}, {text!r})"
+
+
+# sha256 of str and repr of 360 seeded forms of degree 0 to 8, one line each
+SEEDED_FORMS_SHA256 = "fa8761d5cdf847f173877f3ac7c2260144df73f0489595abc25500de4fe91a5f"
+
+
+def test_seeded_form_rendering_is_pinned():
+    rng = random.Random(2026)
+    lines = []
+    for degree in range(9):
+        for _ in range(40):
+            coeffs = [rng.choice((0, 0, 1, -1, Fraction(rng.randint(-99, 99), rng.randint(1, 12)))) for _ in range(degree + 1)]
+            form = BinaryForm(degree, coeffs)
+            lines.append(f"{form}\t{form!r}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEEDED_FORMS_SHA256
 
 
 # -- products and powers ---------------------------------------------------------

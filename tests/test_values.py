@@ -1,12 +1,14 @@
-"""The immutable value classes RingSpec, PowerSumProblem and WeightPair:
-repr, equality, hashing, immutability, pickling and construction checks."""
+"""The immutable value classes RingSpec, PowerSumProblem, WeightPair and
+BinaryForm: repr, equality, hashing, immutability, pickling and construction
+checks."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
-from tvcount import PowerSumProblem, RingSpec, WeightPair, validate
+from tvcount import BinaryForm, PowerSumProblem, RingSpec, WeightPair, validate
 
 
 def test_repr_strings():
@@ -33,6 +35,13 @@ def test_equality_and_hash():
     assert hash(WeightPair(3, -1)) == hash(WeightPair(-1, 3))
     assert WeightPair(3, -1) != WeightPair(3, 1)
 
+    # a form's coefficients are read as Fractions, whatever type they came in
+    forms = [BinaryForm(2, [1, "1/2", 3]), BinaryForm(2, ["1", Fraction(1, 2), "3"]), BinaryForm(2, [Fraction(1), "2/4", 3])]
+    assert forms[0] == forms[1] == forms[2]
+    assert hash(forms[0]) == hash(forms[1]) == hash(forms[2])
+    assert len(set(forms)) == 1
+    assert forms[0] != BinaryForm(3, [0, 1, "1/2", 3]) and forms[0] != (2, (1, Fraction(1, 2), 3))
+
 
 @pytest.mark.parametrize(
     "value, field",
@@ -40,6 +49,7 @@ def test_equality_and_hash():
         (PowerSumProblem(m=2, n=3, a=3, b=2), "m"),
         (RingSpec((1, 2)), "caps"),
         (WeightPair(1, 2), "w1"),
+        (BinaryForm(2, [1, "1/2", 3]), "degree"),
     ],
 )
 def test_fields_are_read_only(value, field):
@@ -56,7 +66,7 @@ def test_fields_are_read_only(value, field):
 @pytest.mark.parametrize(
     "value",
     # the problem is given swapped: unpickling reads the normalized fields
-    [PowerSumProblem(m=6, n=4, a=2, b=3), RingSpec((4, 6, 8)), WeightPair(-5, 2)],
+    [PowerSumProblem(m=6, n=4, a=2, b=3), RingSpec((4, 6, 8)), WeightPair(-5, 2), BinaryForm(2, [1, "1/2", 3])],
 )
 def test_pickle_and_copy_round_trip(value):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
