@@ -1,14 +1,33 @@
-"""The package's integer gate, the base class of its small immutable value
-types, and the one printer of a sum of monomials.
+"""The package's integer gate and digit limit, the base class of its small
+immutable value types, and the one printer of a sum of monomials.
 
 ``integer`` is the one rule by which every public function reads an integer
-from its caller.  ``Frozen`` gives a slotted class what
+from its caller.  ``max_digits`` is the longest decimal exponent a form's
+coefficient may have, and ``str_digits_limit`` the longest int ``str()``
+prints.  ``Frozen`` gives a slotted class what
 ``@dataclass(frozen=True)`` gave it, without importing ``dataclasses``
 (which pulls in ``inspect``, ``ast`` and ``dis``) at every start of the
 command-line tool.  A subclass's fields are its ``__slots__``.
 ``render_terms`` prints binary forms and Chow-ring classes alike, as text
 or as LaTeX.
 """
+
+import sys
+
+# CPython's default for the longest int str() may print
+DEFAULT_MAX_DIGITS = 4300
+
+
+def str_digits_limit() -> int:
+    """The interpreter's limit on str(int) (Python 3.11 and 3.10.7+); 0
+    where it is unlimited or absent."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def max_digits() -> int:
+    """str_digits_limit(), or DEFAULT_MAX_DIGITS where str(int) is
+    unlimited: it still bounds the decimal exponents of form coefficients."""
+    return str_digits_limit() or DEFAULT_MAX_DIGITS
 
 
 def integral(value) -> int | None:

@@ -7,8 +7,8 @@ mismatch or internal failure.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
-json, traceback, fractions and the forms engine are imported only inside the
-functions that use them, and argparse only for help and usage errors: main()
+json, traceback and the forms engine are imported only inside the functions
+that use them, and argparse only for help and usage errors: main()
 reads a well-formed command itself, from the same option table that
 build_parser() turns into the argparse parser.
 """
@@ -18,7 +18,7 @@ import os
 import sys
 import types
 
-from ._frozen import integer
+from ._frozen import integer, max_digits, str_digits_limit
 from .counting import admissible_tuples, degree_of_power_sum_locus, validate
 from .cycles import PowerSumProblem, beta_pushforward
 
@@ -144,25 +144,9 @@ def cmd_class(args) -> int:
     return EXIT_OK
 
 
-# CPython's default for the longest int str() may print
-DEFAULT_MAX_DIGITS = 4300
-
-
-def _str_digits_limit() -> int:
-    # the interpreter's limit on str(int) (Python 3.11 and 3.10.7+); 0 where
-    # it is unlimited or absent
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def _max_digits() -> int:
-    # where str(int) is unlimited, the default still bounds the exponents
-    # _parse_coefficient accepts
-    return _str_digits_limit() or DEFAULT_MAX_DIGITS
-
-
 def _too_long_message(problem: PowerSumProblem) -> str:
     m, n, a, b = problem.m, problem.n, problem.a, problem.b
-    return f"the count for (m,n,a,b)=({m},{n},{a},{b}) has more than {_str_digits_limit()} digits, the most str() prints (sys.get_int_max_str_digits())"
+    return f"the count for (m,n,a,b)=({m},{n},{a},{b}) has more than {str_digits_limit()} digits, the most str() prints (sys.get_int_max_str_digits())"
 
 
 def _too_long(problem: PowerSumProblem) -> str | None:
@@ -171,34 +155,10 @@ def _too_long(problem: PowerSumProblem) -> str | None:
     floor(m log10 a + n log10 b) >= limit + 1: it is a^m b^n less terms too
     small to cost it a digit there.  A count the estimate lets through is
     refused by str() itself once computed."""
-    limit = _str_digits_limit()
+    limit = str_digits_limit()
     if limit and math.floor(problem.m * math.log10(problem.a) + problem.n * math.log10(problem.b)) > limit:
         return _too_long_message(problem)
     return None
-
-
-def _parse_coefficient(text: str):
-    from fractions import Fraction
-
-    # Fraction("1e10000000") spends seconds building 10**10000000: refuse an
-    # exponent longer than a printable int before Fraction sees it
-    limit = _max_digits()
-    _, e, exponent = text.lower().partition("e")
-    try:
-        huge = bool(e) and abs(int(exponent)) > limit
-    except ValueError:
-        huge = False  # not an exponent; Fraction reports the malformed text
-    if huge:
-        raise ValueError(f"decimal exponent of {text!r} exceeds {limit}")
-    return Fraction(text)
-
-
-def _parse_form(text: str, binomial: bool):
-    from .forms import BinaryForm
-
-    coeffs = [_parse_coefficient(part.strip()) for part in text.split(",")]
-    build = BinaryForm.from_binomial if binomial else BinaryForm
-    return build(len(coeffs) - 1, coeffs)
 
 
 # the most products f_i * g_j transvect sums, bounding (m+1)(n+1) for forms
@@ -215,9 +175,10 @@ def cmd_transvect(args) -> int:
     m, n = args.f.count(","), args.g.count(",")
     if refused := _over_budget("transvect", f"transvectant of forms of degrees (m,n)=({m},{n})", m, n, MAX_TRANSVECT_TERMS):
         return _fail(refused, EXIT_INVALID)
+    build = forms.BinaryForm.from_binomial if args.binomial else forms.BinaryForm
     try:
-        f = _parse_form(args.f, args.binomial)
-        g = _parse_form(args.g, args.binomial)
+        f = build(m, [part.strip() for part in args.f.split(",")])
+        g = build(n, [part.strip() for part in args.g.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(f"malformed coefficient list: {exc}", EXIT_USAGE)
     try:
@@ -227,7 +188,7 @@ def cmd_transvect(args) -> int:
     try:
         result = t.to_dict()
     except ValueError:  # str() of an int longer than the interpreter allows
-        return _fail(f"result has a coefficient longer than {_max_digits()} digits; too long to print", EXIT_INVALID)
+        return _fail(f"result has a coefficient longer than {max_digits()} digits; too long to print", EXIT_INVALID)
     if args.json:
         inputs = {"f": args.f, "g": args.g, "binomial": bool(args.binomial)}
         _print_envelope("transvect", inputs, result, [])

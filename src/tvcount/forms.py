@@ -14,9 +14,28 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, lcm
 
-from ._frozen import Frozen, integer, render_terms
+from ._frozen import Frozen, integer, max_digits, render_terms
 
 Rationalish = int | str | Fraction
+
+
+def _coefficient(value: Rationalish) -> Fraction:
+    """``value`` as a Fraction: a Fraction as it is, anything else through
+    ``Fraction()``.  Text whose decimal exponent is longer than
+    ``max_digits()`` raises ValueError first: ``Fraction("1e10000000")``
+    would spend seconds building 10**10000000."""
+    if value.__class__ is Fraction:
+        return value
+    if isinstance(value, str):
+        limit = max_digits()
+        _, e, exponent = value.lower().partition("e")
+        try:
+            huge = bool(e) and abs(int(exponent)) > limit
+        except ValueError:
+            huge = False  # not an exponent; Fraction reports the malformed text
+        if huge:
+            raise ValueError(f"decimal exponent of {value!r} exceeds {limit}")
+    return Fraction(value)
 
 
 class BinaryForm(Frozen):
@@ -26,19 +45,11 @@ class BinaryForm(Frozen):
 
     def __init__(self, degree: int, coeffs: Iterable[Rationalish]):
         degree = integer("degree", degree)
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(map(_coefficient, coeffs))
         if len(cs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients, got {len(cs)}")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def _from_clean(cls, degree: int, coeffs: tuple[Fraction, ...]) -> "BinaryForm":
-        # fast constructor for coefficients already known to be valid
-        form = object.__new__(cls)
-        object.__setattr__(form, "degree", degree)
-        object.__setattr__(form, "coeffs", coeffs)
-        return form
 
     @classmethod
     def zero(cls, degree: int) -> "BinaryForm":
@@ -48,7 +59,7 @@ class BinaryForm(Frozen):
     def from_binomial(cls, degree: int, values: Iterable[Rationalish]) -> "BinaryForm":
         """Build from binomially weighted coordinates: c_i = C(e, i) * f_i."""
         degree = integer("degree", degree)
-        return cls(degree, [comb(degree, i) * Fraction(v) for i, v in enumerate(values)])
+        return cls(degree, [comb(degree, i) * _coefficient(v) for i, v in enumerate(values)])
 
     def binomial_coefficients(self) -> tuple[Fraction, ...]:
         """The binomially weighted view f_i = c_i / C(e, i); exact and bijective."""
@@ -137,19 +148,38 @@ def pow_form(f: BinaryForm, k: int) -> BinaryForm:
     return f ** k
 
 
+# the most work transvectant does, in bit-products (m+1)(n+1)(bits(lf) +
+# bits(lg)) for forms of degrees m and n over least common denominators lf and
+# lg: two forms of 50 coefficients 1/<100-digit number> (8.1e7) take 0.5 s on
+# a 2-vCPU VM and two of 75 (2.75e8) 2 s; forms of 1000 and 999 coefficients
+# with denominators 1 to 9, at transvect's term budget, need 2.4e7
+MAX_TRANSVECT_WORK = 100_000_000
+
+
 def transvectant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """First transvectant {f, g} = f_x*g_y - f_y*g_x, of formal degree
     deg(f) + deg(g) - 2.
 
     Bilinear over the rationals, and the zero form exactly when f and g are
     proportional powers of a common form.  Zero-form inputs of degree >= 1
-    are legal and give the zero form of the expected degree.
+    are legal and give the zero form of the expected degree.  Raises
+    ValueError, before any product is formed, when the work exceeds
+    MAX_TRANSVECT_WORK.
     """
     if f.degree < 1 or g.degree < 1:
         raise ValueError("transvectant undefined below degree 1")
     m, n = f.degree, g.degree
-    fs, lf = _over_common_denominator(f.coeffs)
-    gs, lg = _over_common_denominator(g.coeffs)
+    # the products below are (m+1)(n+1) integers of about bits(lf) + bits(lg)
+    # bits; bound that before a numerator is scaled
+    lf = lcm(*(c.denominator for c in f.coeffs))
+    lg = lcm(*(c.denominator for c in g.coeffs))
+    bits = lf.bit_length() + lg.bit_length()
+    if (work := (m + 1) * (n + 1) * bits) > MAX_TRANSVECT_WORK:
+        raise ValueError(
+            f"the transvectant of forms of degrees (m,n)=({m},{n}), whose common denominators have {bits} bits "
+            f"together, takes (m+1)(n+1)*{bits} = {work} bit-products, more than the {MAX_TRANSVECT_WORK} it computes"
+        )
+    fs, gs = _numerators(f.coeffs, lf), _numerators(g.coeffs, lg)
     # f_x*g_y - f_y*g_x collects f_i*g_j, (m-i)*j - i*(n-j) = m*j - n*i times,
     # in the coefficient of x^(m+n-1-i-j) y^(i+j-1); i+j = 0 and i+j = m+n
     # carry weight 0 and fall outside the output
@@ -159,13 +189,12 @@ def transvectant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
             for j, gj in enumerate(gs):
                 sums[i + j] += (m * j - n * i) * fi * gj
     den = lf * lg
-    return BinaryForm._from_clean(m + n - 2, tuple(Fraction(s, den) for s in sums[1:-1]))
+    return BinaryForm(m + n - 2, [Fraction(s, den) for s in sums[1:-1]])
 
 
-def _over_common_denominator(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator l: c_i = s_i / l."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _numerators(coeffs: tuple[Fraction, ...], den: int) -> list[int]:
+    """Integer numerators over a common denominator: c_i = s_i / den."""
+    return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def transvectant_support(m: int, n: int, k: int) -> set[tuple[int, int]]:

@@ -93,6 +93,10 @@ class TruncatedPolynomial:
         p.terms = terms
         return p
 
+    def __reduce__(self):
+        # loading checks the terms again, through __init__
+        return (TruncatedPolynomial, (self.spec, self.terms))
+
     # -- queries ----------------------------------------------------------
 
     @property

@@ -31,6 +31,13 @@ def rand_form(rng: random.Random, degree: int, zero_ok: bool = True) -> BinaryFo
     return BinaryForm(degree, coeffs)
 
 
+def far_denominators(seed: int, count: int) -> list[str]:
+    """``count`` coefficients 1/<seeded 100-digit number>, as text: their
+    common denominator grows by about 330 bits with each one."""
+    rng = random.Random(seed)
+    return [f"1/{rng.randrange(10**99, 10**100)}" for _ in range(count)]
+
+
 def all_admissible(max_d: int):
     """Every validate-accepted problem with d <= max_d (degenerate a == 1 or
     b == 1 included), normalized to m <= n and deduplicated."""

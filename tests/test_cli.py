@@ -14,10 +14,11 @@ import pytest
 
 import tvcount
 from tvcount import admissible_tuples, beta_pushforward, cli, integrate_chern_polynomial, validate
-from tvcount.cli import DEFAULT_MAX_DIGITS, MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, MAX_TRANSVECT_TERMS, SQUARES_WARNING, main
+from tvcount._frozen import DEFAULT_MAX_DIGITS
+from tvcount.cli import MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, MAX_TRANSVECT_TERMS, SQUARES_WARNING, main
 from tvcount.cycles import gcd2_excess
 
-from .helpers import brute_force_admissible, gamma_terms
+from .helpers import brute_force_admissible, far_denominators, gamma_terms
 
 # the src directory this tvcount was imported from, for subprocesses
 PACKAGE_ROOT = str(Path(tvcount.__file__).resolve().parents[1])
@@ -461,8 +462,8 @@ def test_transvect_degree_zero_exit_2(capsys):
     assert "below degree 1" in err
 
 
-def not_parsed(text):
-    raise AssertionError(f"the coefficient {text!r} was parsed")
+def not_parsed(degree, coeffs):
+    raise AssertionError(f"the form of degree {degree} was parsed")
 
 
 @pytest.mark.parametrize("m, n", [(1000, 999), (1, 500_000), (65_534, 65_534)])
@@ -470,7 +471,7 @@ def test_transvect_over_its_term_budget_exits_2_before_parsing(capsys, monkeypat
     # 65 535 coefficients fill one 128 KiB argument; a transvectant of two
     # such forms would take minutes
     assert (m + 1) * (n + 1) > MAX_TRANSVECT_TERMS
-    monkeypatch.setattr(cli, "_parse_coefficient", not_parsed)
+    monkeypatch.setattr("tvcount.forms.BinaryForm", not_parsed)
     f, g = ",".join(["1/3"] * (m + 1)), ",".join(["-2"] * (n + 1))
     code, out, err, seconds = timed_cli(capsys, "transvect", "--f", f, "--g", g, "--json")
     assert (code, out) == (2, "") and seconds < 1
@@ -485,6 +486,70 @@ def test_transvect_at_its_term_budget_is_computed(capsys, monkeypatch):
     assert run_cli(capsys, "transvect", "--f", "0,0,0,1", "--g", "1,0,0", "--binomial") == (0, "0,0,-6,0\n", "")
     code, out, err = run_cli(capsys, "transvect", "--f", "0,0,0,1", "--g", "1,0,0,0")
     assert (code, out) == (2, "") and "more than the 12 that transvect builds" in err
+
+
+@pytest.mark.parametrize("k", [75, 100])
+def test_transvect_over_its_work_bound_exits_2_quickly(capsys, k):
+    # forms of k coefficients 1/<100-digit number>: unbounded, k = 100 ran
+    # 9.4 s before it exited 2 for a result too long to print
+    f, g = ",".join(far_denominators(1, k)), ",".join(far_denominators(2, k))
+    code, out, err, seconds = timed_cli(capsys, "transvect", "--f", f, "--g", g)
+    assert (code, out) == (2, "") and seconds < 1
+    assert err.count("\n") == 1 and f"(m,n)=({k - 1},{k - 1}), whose common denominators" in err
+
+
+# the transvect items of bench/run.py's cli_items for seeds 1, 7919 and 3,
+# copied so that the benchmark can change without moving the pin below
+TRANSVECT_SEEDED = (
+    # seed 1
+    ("--f=9,-1,3/2,3/2,-3,6,3/4,-9/4,-1/2,9,1,-9,8,3/2,4,7/2,5/4,4,1,-1/2,0,4/5,-3,0,1/5,4/5,-1,0,6/5", "--g=9,3,3/4,-4/3,8/3,-7/4,7,-4/5,1,6,6,0,9/5,3/2,-4/5,-2,-3/5,4,3/5,2/5,1/2,-1/5,-9/4,7/2,7/5,-3/4,-2,2/5,4,7/4,2,4/3,-9/5,8/5,1/4,-9/2,-4/5,9/2,-7/5,-1,-7,-9/4,-3,-2/3,-6/5,-4/3"),
+    ("--f=-7/2,-4/3,7/2,-1/3,5/3,3/2,-6,0,1/4,-1,-2,7/2,4,-2,3/2,-4,1,4/5,-2/5,5/2,7,3/5,1/4,-8/3,-5/2,-8/3,-7,0,-1,3,-5,8,9/2,9/4,-4/5,7,3/2,2,-3/5", "--g=9/2,6,1,7/4,-3,1,-9/2,-1,9/2,1/4,-1,-3/2,8/3,2,4,-7,-7/2,-2,4,-1/3,7/3,2/3,1,0,3,9/5,-2,-2,-7/4,-5/2,1,9/4,-7/5,4,9,-1/3,0,8,5/3,-6,0,-9,4,-4,-2/5,2,-3/2,-2"),
+    ("--f=2,2,-9/4,1/2,-1/4,-9/4,9,-8/3,9/2,9/2,-5/3,-1/4,9/4,-4/5,-7/2,6,-4/5,1/5,5/2,-2/3,3/2,-1/2,1/5,-1/2,-8,7/3,-4/5,-1,0,8/3,-1,-7,7/5,3/2,-5/3,2,9", "--g=1,3/5,-4/5,-8/5,-7/3,-2,-7/2,-7/4,-1/2,1,-4/3,5/2,3,-3/2,2,-2,-1/2,3/5,-9/2,7/4,9,-9/5,-2/3,-3/2,0,4,-1/3,3,5/2,8/3,3/2,-3,9/4,-1,-6,-6/5,-9/5,0,-7/5,2/5,0,7/3,7/3,-9,5/4,2/3,2,1/5,6,3/4,-3/5,-3", "--json"),
+    ("--f=-3/2,3/5,0,-1/4,1,-1,-8,-3,1/4,1,3,-7/3,5,-1/2,2,2/3,-4/5,-1,-3/2,2,-1,5,3,-1/2,0,1/2,1/5,0,1,8/5,9/5", "--g=-1,-9/2,3,-1/5,-7,-9,0,3/2,-5,7/3,-7/5,-2,-5/2,1/3,-6/5,0,-3/2,8,1/5,4,-4/3,4/5,-4,-2/3,-7/4,4/5", "--json"),
+    # seed 7919
+    ("--f=-1,9,-2/5,-1/2,1,-5/2,7,8,-9/2,9/4,-9/4,-2,1/4,-2/3,9/5,-9,-5/2,-4/5,-1/3,7/5,8/3,5/3,5/2,1,4/3,-6/5,-7/2,-2,-1/4,-7/2,7/3,5/4,-1/2,-4,-4/5,8,9,2,7/2,-9/5,-2,-4/3,5,-7/5,-5/3,6/5,9/2,6/5,7/5,3,7/2,9,-3/5,-9/2,1/2,2/5,-3", "--g=-2/5,0,0,-3/4,7/5,-2/3,-2/5,-7/4,8/5,1/4,3/5,1,-6,-1/2,-8/5,-2,-2/3,-3/4,3/4,4/3,-9/2,7/2,9,4,7/3,1/2,-1/2,-2/5,3/4,3/5"),
+    ("--f=-1,2/3,1/5,3,2/5,1/2,7/2,9/4,9,9/5,-5/3,3,2,-4/5,1/2,5/4,7/3,3/2,-1/4,-6,-1/3,-7,-7/4", "--g=-8,3,-3,2,-8/5,-4/5,2,1,-8,7,8/5,-9/4,5,-3/5,3/4,9/5,1/2,-7/5,-5/3,5/2,3/2,-3,7/2", "--json"),
+    ("--f=5/3,-9/2,-6,-1/5,-3,1,-4,-1/3,-1,-1,3/2,-3/2,-3,1,-3,8,-4/5,2,5/2,0,7,-4/3,-4/3,7,9/4,7/4,5,-1,4,1,-9/5,-3,-9/5,0,-1/3,2,8,-4,0,9/2,-1/5,-3/2,-1,-2/3,9/2,-1,3,-3", "--g=0,-3/2,5/4,-7/5,-1,-3,-3/2,1,-7/5,7,-7/2,8/5,5/3,-2/3,-1/4,-8/5,-1,-3/2,1,5/4,9/5,-1/2,-5/4,-6/5,6/5,5,7/5,0,-4,-1,3,-5/4,3/2,5/2,-3/4,-4/5,1,5/4,-5/4,-8,-1/2,3/4,1/3,-2,-2/3,-1,4,-3/5,2,1/2,-2,-1/5,-2,1/5,0,1", "--json"),
+    ("--f=3,1/2,4,-3,3/5,8/5,-2/5,-3/2,1/5,-7/3,7,2/5,-9/5,1,-1/2,-1,7/4,1,-5,3/2,-4,5/4,-4/3,-7/3,0,-2,-3/2,-1,6/5,-6/5,-2,1/3,2,-9/5,2,0,5/4,-5/2,-9/5,-5,1,-3/2,8,3/2,0,-4,-1/2,-5,4,-8,-9,-8,3/4,-6/5,3/2,0,3/5,-7/5,-1/3,-1/3,7", "--g=1,3/2,1,-4,-3,7/5,-2,0,3/4,-9/5,7/5,6,0,3/5,5/2,-5/2,9/2,-1,1,5/2,-5,4,1/4,-8/5,5/4,5/4,-5/2,9/5,4,9,1/4,7/5,-3/4,0,-7,3,-3/2,-5/2,-3/2,-8/3,9/5,-2,3,1/2,3/2,0,1,4/5,1/4,3,-4,0,-7/2,7/4,3/5,2"),
+    # seed 3
+    ("--f=8/3,-9/4,3,-9/4,9/2,-8/3,5/3,2/5,-1/4,-9/5,-8,2/3,5/3,9/5,1/2,1,1/3,-1/3,3,-9/5,-5/3,7/2,-1/2,1/2,4,-6/5,1/3,-1/2,-4,1/2,9/4,-1/2,-6,7/2,1/5,-4/3,1,2/5,-5/4,0", "--g=5/3,4/3,4/5,4,2,-3,6/5,7/4,4,-2,7/3,8/3,-2,3,-3,-8,7/2,4/5,-8,6,-4/5,0,-9/5,2,-8/5,-2,-5/3,2,-8/3,-1,-6/5,-3,-2/3,-5,6/5,3,-1/2,-1/5"),
+    ("--f=7/4,-2,1,-4,-8,-8,6,-7/5,7/4,1/2,1,1/2,3/5,0,-1/2,1/4,-3,8,3,9/2,-8/3,1,2,-8/5,4,1/2,1/4,1,-9/2,-3/5,-1/5,-7/4,-1/2,-5,1/3,8/3,-3/2,-6/5,3,1/5,8,9,3,-1/2,-8/5,-7/5,-3/2,-4,1,-9,2,3,-7,9/5", "--g=-2,8,8,8/3,9/2,-7/2,-2,1,1,2/5,1,2,-7/4,7/2,2,4/5,9/5,3,3/2,-4,3/2,7/4,9/2,-5/3,-3/2,9/5,1/2,8/3,4/5,9/5,-1/2,0,-1/4,3/2,-4/5,1,1/4,-5/4,6/5,-3/4,9/5,-9/4,-7/4,-2,-1,-7/2,-1/2,-1,-5/2,-8/3,-4,1/2,4,-7", "--json"),
+    ("--f=-1/3,-8/3,1,1,-3,1/4,3/4,-7/2,9/4,3/2,8/3,-2,-7/4,-3/2,7/3,-6/5,2/3,5/3,-1,1/5,8/5,-3/2,7/3,-8/3,9/2,-5/2", "--g=5,-6/5,-5/3,4/5,0,5/4,0,-7,-4/5,8/5,1,-2,-1/4,-4,-2,7/3,-2/5,2/3,3/4,8,1/2,-3,-1/5,-6,9,-2,9/4,3/2,9/5,-5/4,-3/5,7/2,9/2,-1,2/3,-9/4,1,1/5,3,6/5,0,-9/5,-3,-3", "--json"),
+    ("--f=9/5,-5/3,6/5,-7/5,-9/4,-1/5,-1,6/5,2,3/2,-1,7/4,-9,-4/5,-8/3,-3,6/5,3/4,3/5,5/2,2,-4,3,-1/4,0,7/4,3,8/5,4/5,-2/3,-3,-4/3,8/5,9,-3/5,-1/3", "--g=-7/4,6,2,2,-3,1,-6,-2,3,8/3,7/2,-8/3,-9,-6/5,8,-3/4,0,-1/2,-8/3,1/3,-5/4,3/4,7/4,8,7/3,2,0,-1/5"),
+)
+
+# whitespace, malformed text, a zero denominator, non-finite values, an
+# exponent over the digit limit, results at and over it, degree 0, decimal
+# and underscored numbers, and an empty part
+TRANSVECT_EDGES = (
+    ("--f", " 1 , -2/3 ,5", "--g", "\t3,4 "),
+    ("--f", "1,oops", "--g", "1,1"),
+    ("--f", "1/0,1", "--g", "1,1"),
+    ("--f", "nan,1", "--g", "1,1"),
+    ("--f", "1,inf", "--g", "1,1"),
+    ("--f", "1e99999999,1", "--g", "1,1"),
+    ("--f", "1e4299,0", "--g", "0,1"),
+    ("--f", "1e4300,0", "--g", "0,1", "--json"),
+    ("--f", "5", "--g", "0,1"),
+    ("--f", "1.5e3,1_000,-7/3", "--g", "-1,2", "--json"),
+    ("--f", "1,,2", "--g", "1,1"),
+)
+
+# sha256 over (argv, exit code, stdout, stderr) of every corpus command
+TRANSVECT_SURFACE_SHA256 = "1d985620123dd8dd64d201f0638fe5070fd26d4864a66f457c47e9a3f534510b"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Fraction reads underscores from Python 3.11 on")
+def test_transvect_surface_is_pinned(capsys, str_digits):
+    # each seeded and edge command, in the plain and the binomial basis
+    str_digits(DEFAULT_MAX_DIGITS)
+    records = []
+    for args in TRANSVECT_SEEDED + TRANSVECT_EDGES:
+        for extra in ((), ("--binomial",)):
+            argv = ["transvect", *args, *extra]
+            records.append([argv, *run_cli(capsys, *argv)])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert (len(records), digest) == (46, TRANSVECT_SURFACE_SHA256)
 
 
 # -- table ------------------------------------------------------------------------------

@@ -4,6 +4,8 @@ the structural coefficients of the transvectant in the binomial view."""
 import hashlib
 import importlib
 import random
+import re
+import time
 from fractions import Fraction
 from math import comb
 
@@ -15,6 +17,7 @@ from tvcount import BinaryForm, forms, mul_form, pow_form, transvectant, transve
 from .helpers import (
     basis_form,
     derivative_transvectant,
+    far_denominators,
     rand_form,
     structural_coefficient,
     structural_support,
@@ -40,11 +43,19 @@ def test_construction_validation():
         BinaryForm(-1, [])
     zero = BinaryForm.zero(3)
     assert zero.is_zero and zero.degree == 3
+    # Fraction() would spend seconds building a 10-million-digit power of ten
+    for build, text in ((BinaryForm, "1e10000000"), (BinaryForm.from_binomial, "-2E-10000000")):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^decimal exponent of '{text}' exceeds "):
+            build(1, [text, 1])
+        assert time.perf_counter() - t0 < 1
 
 
 def test_coefficients_parse_strings_and_fractions():
     f = BinaryForm(2, ["1", "1/2", Fraction(-3, 4)])
     assert f.coeffs == (Fraction(1), Fraction(1, 2), Fraction(-3, 4))
+    third = Fraction(1, 3)
+    assert BinaryForm(2, [third, 2, "3/4"]).coeffs[0] is third
 
 
 def test_binomial_view_roundtrip():
@@ -165,6 +176,47 @@ def test_transvectant_matches_sympy():
         f, g = rand_form(rng, m), rand_form(rng, n)
         t = transvectant(f, g)
         assert list(t.coeffs) == sympy_transvectant(f.coeffs, g.coeffs)
+
+
+@pytest.mark.parametrize("k", [75, 100])
+def test_transvectant_over_its_work_bound_is_refused_quickly(k):
+    # unbounded, k = 75 takes 2 s and k = 100 about 9 s
+    f, g = BinaryForm(k - 1, far_denominators(1, k)), BinaryForm(k - 1, far_denominators(2, k))
+    degrees = re.escape(f"(m,n)=({k - 1},{k - 1})")
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^the transvectant of forms of degrees {degrees}, whose") as caught:
+        transvectant(f, g)
+    assert time.perf_counter() - t0 < 1
+    assert "\n" not in str(caught.value) and f"more than the {forms.MAX_TRANSVECT_WORK} it computes" in str(caught.value)
+
+
+def primes_above(low: int, count: int) -> list[int]:
+    sieve = bytearray([1]) * (3 * low)
+    for p in range(2, int(len(sieve) ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    return [p for p in range(low + 1, len(sieve)) if sieve[p]][:count]
+
+
+def test_transvectant_with_a_long_denominator_and_small_result_is_computed():
+    # the common denominator of f has about 4160 digits, yet {f, x} = -f_y
+    # has denominators of at most 15 bits: the bound is on the work, not on
+    # the denominator
+    primes = primes_above(10**4, 1000)
+    assert len(primes) == 1000
+    f = BinaryForm(999, [Fraction(1, p) for p in primes])
+    t = transvectant(f, x_power(1))
+    assert t == -f.dy()
+    assert max(c.denominator for c in t.coeffs).bit_length() == 15
+
+
+def test_transvectant_at_its_work_bound_is_computed(monkeypatch):
+    # (m+1)(n+1)(bits(lf) + bits(lg)) for f = x + y/2^k and g = x is
+    # 4 * (k + 2)
+    monkeypatch.setattr(forms, "MAX_TRANSVECT_WORK", 4 * (10 + 2))
+    assert transvectant(BinaryForm(1, [1, Fraction(1, 2**10)]), x_power(1)) == BinaryForm(0, [Fraction(-1, 2**10)])
+    with pytest.raises(ValueError, match="= 52 bit-products, more than the 48 it computes$"):
+        transvectant(BinaryForm(1, [1, Fraction(1, 2**11)]), x_power(1))
 
 
 def _oracle_coefficient(rng: random.Random) -> Fraction:

@@ -1,6 +1,6 @@
 """The immutable value classes RingSpec, PowerSumProblem, WeightPair and
-BinaryForm: repr, equality, hashing, immutability, pickling and construction
-checks."""
+BinaryForm: repr, equality, hashing, immutability, pickling (of
+TruncatedPolynomial too) and construction checks."""
 
 import copy
 import pickle
@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from tvcount import BinaryForm, PowerSumProblem, RingSpec, WeightPair, validate
+from tvcount import BinaryForm, PowerSumProblem, RingSpec, WeightPair, beta_pushforward, validate
 
 
 def test_repr_strings():
@@ -66,7 +66,13 @@ def test_fields_are_read_only(value, field):
 @pytest.mark.parametrize(
     "value",
     # the problem is given swapped: unpickling reads the normalized fields
-    [PowerSumProblem(m=6, n=4, a=2, b=3), RingSpec((4, 6, 8)), WeightPair(-5, 2), BinaryForm(2, [1, "1/2", 3])],
+    [
+        PowerSumProblem(m=6, n=4, a=2, b=3),
+        RingSpec((4, 6, 8)),
+        WeightPair(-5, 2),
+        BinaryForm(2, [1, "1/2", 3]),
+        beta_pushforward(4, 6),
+    ],
 )
 def test_pickle_and_copy_round_trip(value):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
