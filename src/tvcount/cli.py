@@ -161,19 +161,12 @@ def _too_long(problem: PowerSumProblem) -> str | None:
     return None
 
 
-# the most products f_i * g_j transvect sums, bounding (m+1)(n+1) for forms
-# of degrees m and n, read from the comma counts before a coefficient is
-# parsed: at the budget, two forms of one-digit coefficients take about 0.2 s
-# on a 2-vCPU VM, and two forms that fill a 128 KiB argument each would take
-# minutes
-MAX_TRANSVECT_TERMS = 1_000_000
-
-
 def cmd_transvect(args) -> int:
     from . import forms
 
+    # degrees from the comma counts: the work bound refuses before parsing
     m, n = args.f.count(","), args.g.count(",")
-    if refused := _over_budget("transvect", f"transvectant of forms of degrees (m,n)=({m},{n})", m, n, MAX_TRANSVECT_TERMS):
+    if refused := forms.transvectant_refusal(m, n):
         return _fail(refused, EXIT_INVALID)
     build = forms.BinaryForm.from_binomial if args.binomial else forms.BinaryForm
     try:
@@ -210,7 +203,15 @@ def _worker_cap(n_jobs: int) -> int:
     except ValueError:
         print(f"warning: ignoring non-integer TVCOUNT_THREADS={raw!r}", file=sys.stderr)
         return 1
-    return max(1, min(cap, n_jobs))
+    return max(1, min(cap, n_jobs, _usable_cpus()))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; a pool starts all its workers at
+    once, so it gets no more than these."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # the largest --max-d table builds: 15 237 rows, 5 to 6 s serially on a
@@ -295,7 +296,7 @@ _COMMANDS = {
     "transvect": (
         cmd_transvect,
         "first transvectant of two binary forms",
-        f"Refuses (exit 2) forms of degrees m and n with (m+1)(n+1) above {MAX_TRANSVECT_TERMS} terms.",
+        "Refuses (exit 2) forms whose transvectant is over its work bound (tvcount.forms.MAX_TRANSVECT_WORK).",
         (
             ("--f", "f", str, True, None, "comma-separated rational coefficients, x-descending"),
             ("--g", "g", str, True, None, "comma-separated rational coefficients, x-descending"),
@@ -309,7 +310,7 @@ _COMMANDS = {
         "Rows cover a >= 2, b >= 2, a | d, b | d with gcd(d/a, d/b) in {1, 2}, "
         "deduplicated under (a, b) <-> (b, a) since the count is symmetric; "
         f"refuses (exit 2) --max-d above {MAX_TABLE_D}; "
-        "TVCOUNT_THREADS=N evaluates rows in N worker processes (unset, 0 or 1 = serial), "
+        "TVCOUNT_THREADS=N evaluates rows in N worker processes, at most one per CPU (unset, 0 or 1 = serial), "
         "about 4 chunks of rows per worker.",
         (
             ("--max-d", "max_d", int, True, None, None),

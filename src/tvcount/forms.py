@@ -148,12 +148,23 @@ def pow_form(f: BinaryForm, k: int) -> BinaryForm:
     return f ** k
 
 
-# the most work transvectant does, in bit-products (m+1)(n+1)(bits(lf) +
-# bits(lg)) for forms of degrees m and n over least common denominators lf and
-# lg: two forms of 50 coefficients 1/<100-digit number> (8.1e7) take 0.5 s on
-# a 2-vCPU VM and two of 75 (2.75e8) 2 s; forms of 1000 and 999 coefficients
-# with denominators 1 to 9, at transvect's term budget, need 2.4e7
+# the most bit-products transvectant computes, each product counted at 100 or
+# more: 100 is 10^8 / 10^6, so the degrees alone, before a coefficient is
+# parsed, refuse more than 10^6 products.  On a 2-vCPU VM two forms of 50
+# coefficients 1/<100-digit number> (8.1e7) take 0.5 s, of 1000 ones 0.2-0.3 s
 MAX_TRANSVECT_WORK = 100_000_000
+
+
+def transvectant_refusal(m: int, n: int, bits: int = 0) -> str | None:
+    """The one-line refusal of the transvectant of forms of degrees m and n
+    whose least common denominators have ``bits`` bits together, or None."""
+    bits = max(bits, 100)
+    if (work := (m + 1) * (n + 1) * bits) > MAX_TRANSVECT_WORK:
+        return (
+            f"the transvectant of forms of degrees (m,n)=({m},{n}) takes (m+1)(n+1)*{bits} = {work} "
+            f"bit-products, more than the {MAX_TRANSVECT_WORK} it computes"
+        )
+    return None
 
 
 def transvectant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -164,21 +175,16 @@ def transvectant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     proportional powers of a common form.  Zero-form inputs of degree >= 1
     are legal and give the zero form of the expected degree.  Raises
     ValueError, before any product is formed, when the work exceeds
-    MAX_TRANSVECT_WORK.
+    MAX_TRANSVECT_WORK: (m+1)(n+1) products of bits(lf) + bits(lg) bits for
+    least common denominators lf and lg, each counted at 100 or more.
     """
     if f.degree < 1 or g.degree < 1:
         raise ValueError("transvectant undefined below degree 1")
     m, n = f.degree, g.degree
-    # the products below are (m+1)(n+1) integers of about bits(lf) + bits(lg)
-    # bits; bound that before a numerator is scaled
     lf = lcm(*(c.denominator for c in f.coeffs))
     lg = lcm(*(c.denominator for c in g.coeffs))
-    bits = lf.bit_length() + lg.bit_length()
-    if (work := (m + 1) * (n + 1) * bits) > MAX_TRANSVECT_WORK:
-        raise ValueError(
-            f"the transvectant of forms of degrees (m,n)=({m},{n}), whose common denominators have {bits} bits "
-            f"together, takes (m+1)(n+1)*{bits} = {work} bit-products, more than the {MAX_TRANSVECT_WORK} it computes"
-        )
+    if refused := transvectant_refusal(m, n, lf.bit_length() + lg.bit_length()):
+        raise ValueError(refused)
     fs, gs = _numerators(f.coeffs, lf), _numerators(g.coeffs, lg)
     # f_x*g_y - f_y*g_x collects f_i*g_j, (m-i)*j - i*(n-j) = m*j - n*i times,
     # in the coefficient of x^(m+n-1-i-j) y^(i+j-1); i+j = 0 and i+j = m+n

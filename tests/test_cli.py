@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import tvcount
-from tvcount import admissible_tuples, beta_pushforward, cli, integrate_chern_polynomial, validate
+from tvcount import admissible_tuples, beta_pushforward, cli, forms, integrate_chern_polynomial, validate
 from tvcount._frozen import DEFAULT_MAX_DIGITS
-from tvcount.cli import MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, MAX_TRANSVECT_TERMS, SQUARES_WARNING, main
+from tvcount.cli import MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, SQUARES_WARNING, main
 from tvcount.cycles import gcd2_excess
 
 from .helpers import brute_force_admissible, far_denominators, gamma_terms
@@ -470,22 +470,31 @@ def not_parsed(degree, coeffs):
 def test_transvect_over_its_term_budget_exits_2_before_parsing(capsys, monkeypatch, m, n):
     # 65 535 coefficients fill one 128 KiB argument; a transvectant of two
     # such forms would take minutes
-    assert (m + 1) * (n + 1) > MAX_TRANSVECT_TERMS
+    assert (m + 1) * (n + 1) * 100 > forms.MAX_TRANSVECT_WORK
     monkeypatch.setattr("tvcount.forms.BinaryForm", not_parsed)
     f, g = ",".join(["1/3"] * (m + 1)), ",".join(["-2"] * (n + 1))
     code, out, err, seconds = timed_cli(capsys, "transvect", "--f", f, "--g", g, "--json")
     assert (code, out) == (2, "") and seconds < 1
-    assert err.count("\n") == 1 and f"more than the {MAX_TRANSVECT_TERMS} that transvect builds" in err
-    assert f"(m,n)=({m},{n}) has up to (m+1)(n+1) = {(m + 1) * (n + 1)} terms" in err
+    assert err.count("\n") == 1 and f"more than the {forms.MAX_TRANSVECT_WORK} it computes" in err
+    assert f"(m,n)=({m},{n}) takes (m+1)(n+1)*100 = {(m + 1) * (n + 1) * 100} bit-products" in err
 
 
 def test_transvect_at_its_term_budget_is_computed(capsys, monkeypatch):
-    # (m+1)(n+1) == 12 at degrees (2, 3) and (3, 2), and 16 at (3, 3)
-    monkeypatch.setattr(cli, "MAX_TRANSVECT_TERMS", 12)
+    # (m+1)(n+1) == 12 at degrees (2, 3) and (3, 2), and 16 at (3, 3); each
+    # product counts at 100 bit-products
+    monkeypatch.setattr(forms, "MAX_TRANSVECT_WORK", 12 * 100)
     assert run_cli(capsys, "transvect", "--f", "1,0,0", "--g", "0,0,0,1") == (0, "0,0,6,0\n", "")
     assert run_cli(capsys, "transvect", "--f", "0,0,0,1", "--g", "1,0,0", "--binomial") == (0, "0,0,-6,0\n", "")
     code, out, err = run_cli(capsys, "transvect", "--f", "0,0,0,1", "--g", "1,0,0,0")
-    assert (code, out) == (2, "") and "more than the 12 that transvect builds" in err
+    assert (code, out) == (2, "") and "= 1600 bit-products, more than the 1200 it computes" in err
+
+
+def test_transvect_of_a_million_products_of_ones_is_computed(capsys):
+    # two forms of 1000 ones: 10^6 products at 100 bit-products each, the
+    # most the work bound admits; {f, f} = 0
+    ones = ",".join(["1"] * 1000)
+    code, out, err = run_cli(capsys, "transvect", "--f", ones, "--g", ones)
+    assert (code, out, err) == (0, ",".join(["0"] * 1997) + "\n", "")
 
 
 @pytest.mark.parametrize("k", [75, 100])
@@ -495,7 +504,8 @@ def test_transvect_over_its_work_bound_exits_2_quickly(capsys, k):
     f, g = ",".join(far_denominators(1, k)), ",".join(far_denominators(2, k))
     code, out, err, seconds = timed_cli(capsys, "transvect", "--f", f, "--g", g)
     assert (code, out) == (2, "") and seconds < 1
-    assert err.count("\n") == 1 and f"(m,n)=({k - 1},{k - 1}), whose common denominators" in err
+    assert err.count("\n") == 1 and f"(m,n)=({k - 1},{k - 1}) takes (m+1)(n+1)*" in err
+    assert f"bit-products, more than the {forms.MAX_TRANSVECT_WORK} it computes" in err
 
 
 # the transvect items of bench/run.py's cli_items for seeds 1, 7919 and 3,
@@ -663,6 +673,8 @@ def pool_map_calls(monkeypatch):
 )
 def test_table_pool_chunks_rows_and_keeps_output(capsys, monkeypatch, pool_map_calls, max_d, threads, rows, chunksize):
     monkeypatch.delenv("TVCOUNT_THREADS", raising=False)
+    # enough CPUs that TVCOUNT_THREADS sets the worker count
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
     code, serial_out, _ = run_cli(capsys, "table", "--max-d", max_d, "--csv")
     assert code == 0
     assert len(serial_out.splitlines()) == rows + 1
@@ -677,6 +689,37 @@ def test_table_pool_chunks_rows_and_keeps_output(capsys, monkeypatch, pool_map_c
     assert code == 0
     assert pool_map_calls == [{"chunksize": chunksize}]
     assert pooled_out == serial_out
+
+
+@pytest.mark.parametrize("max_d, cpus, workers", [("120", 2, 2), ("40", 8, 8), ("6", 64, 11)])
+def test_table_pool_has_at_most_one_worker_per_cpu(capsys, monkeypatch, max_d, cpus, workers):
+    # capped by the row count alone, TVCOUNT_THREADS=100000 asked for 986
+    # workers at --max-d 120 (15 237 at 1000), all started at once
+    sizes = []
+
+    class RecordingPool:
+        """Records max_workers and maps the rows in this process: no worker
+        is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setenv("TVCOUNT_THREADS", "100000")
+    code, out, _ = run_cli(capsys, "table", "--max-d", max_d, "--csv")
+    assert (code, sizes) == (0, [workers])
+    monkeypatch.delenv("TVCOUNT_THREADS")
+    assert run_cli(capsys, "table", "--max-d", max_d, "--csv") == (0, out, "")
 
 
 # -- selftest ----------------------------------------------------------------------------

@@ -182,9 +182,9 @@ def test_transvectant_matches_sympy():
 def test_transvectant_over_its_work_bound_is_refused_quickly(k):
     # unbounded, k = 75 takes 2 s and k = 100 about 9 s
     f, g = BinaryForm(k - 1, far_denominators(1, k)), BinaryForm(k - 1, far_denominators(2, k))
-    degrees = re.escape(f"(m,n)=({k - 1},{k - 1})")
+    degrees = re.escape(f"(m,n)=({k - 1},{k - 1}) takes (m+1)(n+1)*")
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=f"^the transvectant of forms of degrees {degrees}, whose") as caught:
+    with pytest.raises(ValueError, match=f"^the transvectant of forms of degrees {degrees}") as caught:
         transvectant(f, g)
     assert time.perf_counter() - t0 < 1
     assert "\n" not in str(caught.value) and f"more than the {forms.MAX_TRANSVECT_WORK} it computes" in str(caught.value)
@@ -212,11 +212,32 @@ def test_transvectant_with_a_long_denominator_and_small_result_is_computed():
 
 def test_transvectant_at_its_work_bound_is_computed(monkeypatch):
     # (m+1)(n+1)(bits(lf) + bits(lg)) for f = x + y/2^k and g = x is
-    # 4 * (k + 2)
-    monkeypatch.setattr(forms, "MAX_TRANSVECT_WORK", 4 * (10 + 2))
-    assert transvectant(BinaryForm(1, [1, Fraction(1, 2**10)]), x_power(1)) == BinaryForm(0, [Fraction(-1, 2**10)])
-    with pytest.raises(ValueError, match="= 52 bit-products, more than the 48 it computes$"):
-        transvectant(BinaryForm(1, [1, Fraction(1, 2**11)]), x_power(1))
+    # 4 * (k + 2), counted at 4 * 100 or more
+    monkeypatch.setattr(forms, "MAX_TRANSVECT_WORK", 4 * (200 + 2))
+    assert transvectant(BinaryForm(1, [1, Fraction(1, 2**200)]), x_power(1)) == BinaryForm(0, [Fraction(-1, 2**200)])
+    with pytest.raises(ValueError, match="= 812 bit-products, more than the 808 it computes$"):
+        transvectant(BinaryForm(1, [1, Fraction(1, 2**201)]), x_power(1))
+    # k = 10 has 12 bits, below the floor: counted at 100 a product
+    monkeypatch.setattr(forms, "MAX_TRANSVECT_WORK", 4 * 100 - 1)
+    with pytest.raises(ValueError, match=re.escape("(m+1)(n+1)*100 = 400 bit-products, more than the 399 it computes")):
+        transvectant(BinaryForm(1, [1, Fraction(1, 2**10)]), x_power(1))
+
+
+@pytest.mark.parametrize("m, n", [(1000, 999), (6999, 6999)])
+def test_transvectant_of_integer_forms_over_a_million_products_is_refused_quickly(m, n):
+    # each product counts at 100 bit-products however small its factors:
+    # unbounded, two forms of 7000 ones take 10 s
+    f, g = BinaryForm(m, [1] * (m + 1)), BinaryForm(n, [1] * (n + 1))
+    work = re.escape(f"takes (m+1)(n+1)*100 = {(m + 1) * (n + 1) * 100} bit-products")
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=work):
+        transvectant(f, g)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_transvectant_of_a_million_products_of_ones_is_computed():
+    ones = BinaryForm(999, [1] * 1000)
+    assert transvectant(ones, ones) == BinaryForm.zero(1996)
 
 
 def _oracle_coefficient(rng: random.Random) -> Fraction:
