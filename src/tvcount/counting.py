@@ -81,36 +81,23 @@ def integrate_chern_polynomial(
 
 class WeightPair(Frozen):
     """Unordered pair of torus weights of the rank-2 bundle fiber at a fixed
-    point; comparison ignores order."""
+    point, stored in order (w1 <= w2), so comparison ignores order."""
 
     __slots__ = ("w1", "w2")
     w1: int
     w2: int
 
     def __init__(self, w1: int, w2: int) -> None:
-        object.__setattr__(self, "w1", integer("w1", w1, None))
-        object.__setattr__(self, "w2", integer("w2", w2, None))
-
-    def sorted(self) -> tuple[int, int]:
-        return (self.w1, self.w2) if self.w1 <= self.w2 else (self.w2, self.w1)
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightPair):
-            return NotImplemented
-        return self.sorted() == other.sorted()
-
-    def __hash__(self):
-        return hash(self.sorted())
-
-    def __repr__(self) -> str:
-        return f"WeightPair({self.w1}, {self.w2})"
+        w1, w2 = sorted((integer("w1", w1, None), integer("w2", w2, None)))
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "w2", w2)
 
 
 def fixed_point_weights(problem: PowerSumProblem, i: int, j: int, k: int) -> WeightPair:
     """Torus weights of the rank-2 bundle fiber over the fixed point mapping
     to (x^i y^(m-i), x^j y^(n-j), x^k y^(m+n-2-k)).
 
-    At an unexceptional point k = i + j - 1 the second weight collapses to
+    At an unexceptional point k = i + j - 1 one of the two weights is
     2bj - d.
     """
     m, n, a, b, d = problem.m, problem.n, problem.a, problem.b, problem.d

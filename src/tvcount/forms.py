@@ -157,7 +157,9 @@ MAX_TRANSVECT_WORK = 100_000_000
 
 def transvectant_refusal(m: int, n: int, bits: int = 0) -> str | None:
     """The one-line refusal of the transvectant of forms of degrees m and n
-    whose least common denominators have ``bits`` bits together, or None."""
+    that have ``bits`` bits together, or None.  A form's bits are those of
+    its least common denominator or of its longest numerator, whichever is
+    more (see ``transvectant``)."""
     bits = max(bits, 100)
     if (work := (m + 1) * (n + 1) * bits) > MAX_TRANSVECT_WORK:
         return (
@@ -175,15 +177,18 @@ def transvectant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     proportional powers of a common form.  Zero-form inputs of degree >= 1
     are legal and give the zero form of the expected degree.  Raises
     ValueError, before any product is formed, when the work exceeds
-    MAX_TRANSVECT_WORK: (m+1)(n+1) products of bits(lf) + bits(lg) bits for
-    least common denominators lf and lg, each counted at 100 or more.
+    MAX_TRANSVECT_WORK: (m+1)(n+1) products of bits(f) + bits(g) bits, each
+    counted at 100 or more.  bits(f) is the larger of the bit lengths of f's
+    least common denominator lf and of its longest numerator, read before
+    any is scaled; a scaled numerator has at most that many bits plus
+    bits(lf), so the count is within a factor of 2 of the operands' size.
     """
     if f.degree < 1 or g.degree < 1:
         raise ValueError("transvectant undefined below degree 1")
     m, n = f.degree, g.degree
     lf = lcm(*(c.denominator for c in f.coeffs))
     lg = lcm(*(c.denominator for c in g.coeffs))
-    if refused := transvectant_refusal(m, n, lf.bit_length() + lg.bit_length()):
+    if refused := transvectant_refusal(m, n, _bits(f.coeffs, lf) + _bits(g.coeffs, lg)):
         raise ValueError(refused)
     fs, gs = _numerators(f.coeffs, lf), _numerators(g.coeffs, lg)
     # f_x*g_y - f_y*g_x collects f_i*g_j, (m-i)*j - i*(n-j) = m*j - n*i times,
@@ -196,6 +201,11 @@ def transvectant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
                 sums[i + j] += (m * j - n * i) * fi * gj
     den = lf * lg
     return BinaryForm(m + n - 2, [Fraction(s, den) for s in sums[1:-1]])
+
+
+def _bits(coeffs: tuple[Fraction, ...], den: int) -> int:
+    """The bit length of den or of the longest numerator, whichever is more."""
+    return max(den.bit_length(), *(c.numerator.bit_length() for c in coeffs))
 
 
 def _numerators(coeffs: tuple[Fraction, ...], den: int) -> list[int]:

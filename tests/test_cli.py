@@ -137,6 +137,17 @@ def test_count_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_internal_failure_exits_3_with_a_traceback(capsys, monkeypatch):
+    def broken(problem):
+        raise RuntimeError("broken kernel")
+
+    monkeypatch.setattr(cli, "degree_of_power_sum_locus", broken)
+    code, out, err = run_cli(capsys, "count", "--m", "2", "--n", "3", "--a", "3", "--b", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: broken kernel\n")
+
+
 # -- class --------------------------------------------------------------------------
 
 
@@ -508,6 +519,25 @@ def test_transvect_over_its_work_bound_exits_2_quickly(capsys, k):
     assert f"bit-products, more than the {forms.MAX_TRANSVECT_WORK} it computes" in err
 
 
+def test_transvect_of_long_numerators_exits_2_quickly(capsys):
+    # two forms of 200 coefficients 1e4000, a 1.4 KB argv: counted by their
+    # denominators alone, they were computed, in about 6.5 s
+    huge = ",".join(["1e4000"] * 200)
+    code, out, err, seconds = timed_cli(capsys, "transvect", "--f", huge, "--g", huge)
+    assert (code, out) == (2, "") and seconds < 1
+    assert err.count("\n") == 1 and "(m,n)=(199,199) takes (m+1)(n+1)*26576 = " in err
+    assert f"bit-products, more than the {forms.MAX_TRANSVECT_WORK} it computes" in err
+
+
+def test_transvect_binomial_with_long_binomial_numerators_exits_2(capsys):
+    # 1000 ones in the binomial basis are C(999, i) in the plain one, up to
+    # 994 bits each, where 1000 plain ones are computed
+    ones = ",".join(["1"] * 1000)
+    code, out, err = run_cli(capsys, "transvect", "--f", ones, "--g", ones, "--binomial")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "(m,n)=(999,999) takes (m+1)(n+1)*1988 = " in err
+
+
 # the transvect items of bench/run.py's cli_items for seeds 1, 7919 and 3,
 # copied so that the benchmark can change without moving the pin below
 TRANSVECT_SEEDED = (
@@ -720,6 +750,28 @@ def test_table_pool_has_at_most_one_worker_per_cpu(capsys, monkeypatch, max_d, c
     assert (code, sizes) == (0, [workers])
     monkeypatch.delenv("TVCOUNT_THREADS")
     assert run_cli(capsys, "table", "--max-d", max_d, "--csv") == (0, out, "")
+
+
+def test_table_runs_serially_when_no_pool_starts(capsys, monkeypatch):
+    class NoPool:
+        def __init__(self, max_workers):
+            raise OSError("no semaphores")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    monkeypatch.delenv("TVCOUNT_THREADS", raising=False)
+    code, serial_out, _ = run_cli(capsys, "table", "--max-d", "40", "--csv")
+    assert code == 0
+    monkeypatch.setenv("TVCOUNT_THREADS", "2")
+    warning = "warning: parallel evaluation unavailable (no semaphores); running serially\n"
+    assert run_cli(capsys, "table", "--max-d", "40", "--csv") == (0, serial_out, warning)
+
+
+@pytest.mark.parametrize("count, cpus", [(6, 6), (None, 1)])
+def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch, count, cpus):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert cli._usable_cpus() == cpus
 
 
 # -- selftest ----------------------------------------------------------------------------

@@ -51,6 +51,12 @@ def test_construction_validation():
         assert time.perf_counter() - t0 < 1
 
 
+def test_text_with_a_non_integer_exponent_gets_fractions_own_error():
+    # the part after "e" is no exponent to bound, so Fraction reads the text
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: '1e1.5'$"):
+        BinaryForm(1, ["1e1.5", 1])
+
+
 def test_coefficients_parse_strings_and_fractions():
     f = BinaryForm(2, ["1", "1/2", Fraction(-3, 4)])
     assert f.coeffs == (Fraction(1), Fraction(1, 2), Fraction(-3, 4))
@@ -127,6 +133,20 @@ def test_product_examples():
 def test_add_requires_equal_degree():
     with pytest.raises(ValueError):
         BinaryForm(1, [1, 0]) + BinaryForm(2, [1, 0, 0])
+
+
+def test_form_plus_or_minus_a_scalar_is_a_type_error():
+    f = BinaryForm(1, [1, 1])
+    with pytest.raises(TypeError):
+        f + 1
+    with pytest.raises(TypeError):
+        f - 1
+
+
+@pytest.mark.parametrize("derivative", [BinaryForm.dx, BinaryForm.dy])
+def test_derivative_of_a_degree_zero_form_raises(derivative):
+    with pytest.raises(ValueError, match="^derivative of a degree-0 form is not a binary form$"):
+        derivative(BinaryForm(0, [5]))
 
 
 # -- transvectant examples --------------------------------------------------------
@@ -232,6 +252,18 @@ def test_transvectant_of_integer_forms_over_a_million_products_is_refused_quickl
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=work):
         transvectant(f, g)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_transvectant_of_forms_with_long_numerators_is_refused_quickly():
+    # a form counts at its longest numerator when that is longer than its
+    # common denominator: unbounded, two forms of 200 coefficients 10^4000
+    # (13 288 bits each) take about 7 s
+    huge = BinaryForm(199, ["1e4000"] * 200)
+    work = 200 * 200 * 2 * (10**4000).bit_length()
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(f"(m,n)=(199,199) takes (m+1)(n+1)*26576 = {work} bit-products")):
+        transvectant(huge, huge)
     assert time.perf_counter() - t0 < 1
 
 

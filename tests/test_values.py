@@ -14,7 +14,7 @@ from tvcount import BinaryForm, PowerSumProblem, RingSpec, WeightPair, beta_push
 def test_repr_strings():
     assert repr(PowerSumProblem(m=2, n=3, a=3, b=2)) == "PowerSumProblem(m=2, n=3, a=3, b=2)"
     assert repr(RingSpec((2, 3, 3))) == "RingSpec(caps=(2, 3, 3))"
-    assert repr(WeightPair(3, -1)) == "WeightPair(3, -1)"
+    assert repr(WeightPair(3, -1)) == "WeightPair(w1=-1, w2=3)"
 
 
 def test_equality_and_hash():
@@ -41,6 +41,17 @@ def test_equality_and_hash():
     assert hash(forms[0]) == hash(forms[1]) == hash(forms[2])
     assert len(set(forms)) == 1
     assert forms[0] != BinaryForm(3, [0, 1, "1/2", 3]) and forms[0] != (2, (1, Fraction(1, 2), 3))
+
+
+def test_weight_pair_is_stored_in_order():
+    # given swapped, it is kept as (smaller, larger), and so loads that way
+    pair = WeightPair(3, -1)
+    assert (pair.w1, pair.w2) == (-1, 3)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(pair, protocol))
+        assert (back.w1, back.w2) == (-1, 3) and back == WeightPair(-1, 3)
+    # both values pass the integer gate before they are ordered
+    assert WeightPair(3.0, -1) == pair and type(WeightPair(3.0, -1).w2) is int
 
 
 @pytest.mark.parametrize(
