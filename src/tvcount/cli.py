@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: count, class, transvect, table, selftest.
-Exit codes: 0 success, 1 usage error, 2 invalid problem, a count, class,
-table or transvect over its budget or a result too long to print, 3 self-test
-mismatch or internal failure.
+Exit codes: 0 success, 1 usage error or stdout's reader gone, 2 invalid
+problem, a count, class, table or transvect over its budget or a result too
+long to print, 3 self-test mismatch or internal failure.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
@@ -411,7 +411,18 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a write that fails fails here, not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (`tvcount table ... | head`): exit 1 with
+        # nothing on stderr.  fd 1 goes to devnull so that the flush at exit
+        # does not fail again; SIGPIPE stays ignored, for the pool's pipes
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except Exception:
         import traceback
 

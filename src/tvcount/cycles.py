@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from ._frozen import Frozen, integer
-from .ring import RingSpec, TruncatedPolynomial, geometric_inverse
+from .ring import RingSpec, TruncatedPolynomial, geometric_inverse  # unused here; callers import it from cycles
 
 __all__ = ["PowerSumProblem", "alpha_classes", "ambient_spec", "beta_pushforward", "blowup_class_S", "gamma_class"]
 
@@ -75,14 +75,12 @@ def _ambient_spec(m: int, n: int) -> RingSpec:
 
 def blowup_class_S(r: int) -> TruncatedPolynomial:
     """Class of the blow-up along a codimension-r common vanishing locus of
-    r sections: [(1+lam)^r / (1+lam-zeta)]_(r-1), in caps (r-1, r-1).
-
-    Equals the closed sum lam^(r-1) + lam^(r-2)*zeta + ... + zeta^(r-1).
+    r sections, in caps (r-1, r-1): the r terms lam^(r-1-k) zeta^k, k < r,
+    each with coefficient 1.  It equals the series quotient
+    [(1+lam)^r / (1+lam-zeta)]_(r-1); acceptance criterion 2 checks that.
     """
     r = integer("r", r, 1)
-    lam, zeta = RingSpec((r - 1, r - 1)).variables()
-    series = geometric_inverse(lam - zeta)
-    return ((1 + lam) ** r * series).homogeneous_part(r - 1)
+    return TruncatedPolynomial._from_clean(RingSpec((r - 1, r - 1)), {(r - 1 - k, k): 1 for k in range(r)})
 
 
 def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:

@@ -1,11 +1,12 @@
 """Shared test utilities: random exact-rational forms, admissible problem
 enumeration and a brute-force oracle for admissible_tuples,
 structural-coefficient extraction for the transvectant, its derivative
-route, and the ring route for the gamma and beta classes: the
-recurrence, geometric-series, multinomial and explicit-sum forms, built with
-generic ring arithmetic instead of the count's closed forms, the per-term
-formulas of both classes with every binomial from math.comb, and the Horner
-route for the Chern integral, and the count's closed formula."""
+route, the series quotient for the blow-up class, and the ring route for
+the gamma and beta classes: the recurrence, geometric-series, multinomial
+and explicit-sum forms, built with generic ring arithmetic instead of the
+count's closed forms, the per-term formulas of both classes with every
+binomial from math.comb, and the Horner route for the Chern integral, and
+the count's closed formula."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from tvcount import BinaryForm, TruncatedPolynomial, alpha_classes, beta_pushforward, geometric_inverse, transvectant, validate
+from tvcount import BinaryForm, RingSpec, TruncatedPolynomial, alpha_classes, beta_pushforward, geometric_inverse, transvectant, validate
 from tvcount.cycles import ambient_spec, gcd2_excess
 
 
@@ -114,6 +115,13 @@ def segre_class(alpha1, alpha2, degree: int):
     for _ in range(int(degree)):
         prev, cur = cur, neg1 * cur + neg2 * prev
     return cur
+
+
+def series_blowup(r: int):
+    """The blow-up class as the series quotient [(1+lam)^r / (1+lam-zeta)]_(r-1)
+    in caps (r-1, r-1)."""
+    lam, zeta = RingSpec((r - 1, r - 1)).variables()
+    return ((1 + lam) ** r * geometric_inverse(lam - zeta)).homogeneous_part(r - 1)
 
 
 def series_gamma(problem):

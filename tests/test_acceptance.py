@@ -46,6 +46,7 @@ from .helpers import (
     multinomial_gamma,
     rand_form,
     series_beta_base,
+    series_blowup,
     series_gamma,
     structural_coefficient,
     structural_support,
@@ -98,14 +99,15 @@ def test_classical_anchor_two_cubes():
 
 def test_criterion_2_cross_formula_identities():
     with report(2, "series-quotient, closed-sum and kernel formulas agree exactly"):
-        # blow-up class vs closed sum, r <= 20
+        # blow-up class: series quotient vs closed sum vs the written-down
+        # terms, r <= 20
         for r in range(1, 21):
             spec = RingSpec((r - 1, r - 1))
             lam, zeta = spec.variables()
             closed = spec.zero()
             for k in range(r):
                 closed = closed + lam ** (r - 1 - k) * zeta ** k
-            assert blowup_class_S(r) == closed, f"r={r}"
+            assert series_blowup(r) == closed == blowup_class_S(r), f"r={r}"
 
         # pushforward, all m+n <= 24: the series and explicit-sum forms of the
         # base class agree, and beta_pushforward equals the explicit sum minus

@@ -802,6 +802,54 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "40"
 
 
+# -- stdout's reader gone ------------------------------------------------------------
+
+
+def cli_env(unbuffered: bool = False) -> dict:
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", ["count --m 2 --n 3 --a 3 --b 2", "selftest", "table --max-d 40"])
+def test_closed_stdout_exits_1_with_nothing_on_stderr(argv, unbuffered):
+    # stdout is a pipe whose read end is already closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tvcount.cli", *argv.split()],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=cli_env(unbuffered),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_reader_that_stops_after_one_line_exits_1_with_nothing_on_stderr():
+    # `tvcount table --max-d 300 | head -n 1`: the 289 KB table fills the pipe
+    # long before the reader closes it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tvcount.cli", "table", "--max-d", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert header.split() == [b"d", b"a", b"b", b"m", b"n", b"gcd", b"degree"]
+    assert err == b""
+
+
 def test_cli_import_loads_no_heavy_modules():
     # what a count process pays for before it starts: none of these, unless
     # interpreter start-up (site) had loaded them already
@@ -895,6 +943,8 @@ table --max-d 120 --csv
 table --max-d 10 --csv
 table --max-d 40 --csv
 table --max-d 6 --csv
+table --max-d 40
+table --max-d 300
 selftest
 --help
 """

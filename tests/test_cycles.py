@@ -3,6 +3,7 @@ the alpha/gamma classes feeding the intersection product."""
 
 import hashlib
 import math
+import time
 
 import pytest
 
@@ -53,6 +54,15 @@ def test_blowup_class_examples():
 def test_blowup_class_matches_closed_sum():
     for r in range(1, 13):
         assert blowup_class_S(r) == closed_sum(RingSpec((r - 1, r - 1)), r)
+
+
+def test_blowup_class_is_its_r_terms_and_fast():
+    start = time.perf_counter()
+    cls = blowup_class_S(150)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"blowup_class_S(150) took {elapsed:.2f}s"
+    assert cls.spec == RingSpec((149, 149))
+    assert cls.terms == {(149 - k, k): 1 for k in range(150)}
 
 
 def test_blowup_class_rejects_small_caps():
