@@ -227,6 +227,7 @@ def cmd_table(args) -> int:
         problems = admissible_tuples(args.max_d)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INVALID)
+    rows = None
     workers = _worker_cap(len(problems)) if problems else 1
     if workers > 1:
         try:
@@ -239,20 +240,14 @@ def cmd_table(args) -> int:
                 rows = list(pool.map(_table_row, problems, chunksize=chunksize))
         except OSError as exc:
             print(f"warning: parallel evaluation unavailable ({exc}); running serially", file=sys.stderr)
-            rows = [_table_row(p) for p in problems]
-    else:
+    if rows is None:
         rows = [_table_row(p) for p in problems]
 
-    header = (*COLUMNS, "degree")
-    if args.csv:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(v) for v in row))
-    else:
-        cells = [header] + [tuple(str(v) for v in row) for row in rows]
-        widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-        for r in cells:
-            print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
+    cells = [(*COLUMNS, "degree"), *(tuple(map(str, row)) for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    for r in cells:
+        # one print per line: an unbuffered stdout does not retry a short write
+        print(",".join(r) if args.csv else "  ".join(v.rjust(w) for v, w in zip(r, widths)))
     return EXIT_OK
 
 
