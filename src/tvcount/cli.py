@@ -54,8 +54,26 @@ def _print_envelope(command: str, inputs: dict, result, warnings: list[str]) -> 
     print(json.dumps(envelope, sort_keys=True))
 
 
+def _stderr(line: str) -> None:
+    """Print line to stderr.  When stderr's reader has gone, the line and
+    every later one are dropped: fd 2 goes to devnull, so stdout and the exit
+    code stay what they would have been."""
+    try:
+        print(line, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream) -> None:
+    """Point stream's fd at devnull, once its reader has gone, so that what
+    it still buffers goes there and the flush at exit does not fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    _stderr(f"error: {message}")
     return code
 
 
@@ -97,7 +115,7 @@ def cmd_count(args) -> int:
         _print_envelope("count", inputs, {**result, "degree": degree_text}, warnings)
     else:
         for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
+            _stderr(f"warning: {w}")
         print(degree_text)
     return EXIT_OK
 
@@ -201,7 +219,7 @@ def _worker_cap(n_jobs: int) -> int:
     try:
         cap = int(raw)
     except ValueError:
-        print(f"warning: ignoring non-integer TVCOUNT_THREADS={raw!r}", file=sys.stderr)
+        _stderr(f"warning: ignoring non-integer TVCOUNT_THREADS={raw!r}")
         return 1
     return max(1, min(cap, n_jobs, _usable_cpus()))
 
@@ -239,7 +257,7 @@ def cmd_table(args) -> int:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_table_row, problems, chunksize=chunksize))
         except OSError as exc:
-            print(f"warning: parallel evaluation unavailable ({exc}); running serially", file=sys.stderr)
+            _stderr(f"warning: parallel evaluation unavailable ({exc}); running serially")
     if rows is None:
         rows = [_table_row(p) for p in problems]
 
@@ -322,10 +340,11 @@ def build_parser():
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        # usage errors exit 1 (argparse defaults to 2, which is reserved for invalid problems)
+        # usage errors exit 1 (argparse defaults to 2, which is reserved for
+        # invalid problems); the usage and the error go out through _stderr
         def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+            _stderr(f"{self.format_usage()}{self.prog}: error: {message}")
+            self.exit(EXIT_USAGE)
 
     parser = _Parser(
         prog="tvcount",
@@ -411,17 +430,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # stdout's reader has gone (`tvcount table ... | head`): exit 1 with
-        # nothing on stderr.  fd 1 goes to devnull so that the flush at exit
-        # does not fail again; SIGPIPE stays ignored, for the pool's pipes
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # stdout's reader has gone (`tvcount table ... | head`), since _stderr
+        # takes stderr's: exit 1 with nothing on stderr.  SIGPIPE stays
+        # ignored, for the pool's pipes
+        _to_devnull(sys.stdout)
         return EXIT_USAGE
     except Exception:
         import traceback
 
-        traceback.print_exc()
+        _stderr(traceback.format_exc().rstrip("\n"))
         return EXIT_SELFTEST
 
 

@@ -651,11 +651,16 @@ def test_table_120_output_is_pinned(capsys, monkeypatch):
 TABLE_40_ALIGNED_SHA256 = "1b0168ca272e87cc2362ec0ac15fecb2939cf25827f10b4a4cd5305fb3ef4406"
 
 
-def test_table_40_aligned_output_is_pinned(capsys, monkeypatch):
+def test_table_40_aligned_output_is_pinned(capsys, monkeypatch, pool_map_calls):
     monkeypatch.delenv("TVCOUNT_THREADS", raising=False)
     code, out, _ = run_cli(capsys, "table", "--max-d", "40")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_40_ALIGNED_SHA256
+    # the pooled rows pad to the same widths
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("TVCOUNT_THREADS", "2")
+    assert run_cli(capsys, "table", "--max-d", "40") == (0, out, "")
+    assert len(pool_map_calls) == 1
 
 
 def test_table_deterministic_and_thread_capped(capsys, monkeypatch):
@@ -850,6 +855,59 @@ def test_reader_that_stops_after_one_line_exits_1_with_nothing_on_stderr():
     assert err == b""
 
 
+# -- stderr's reader gone ------------------------------------------------------------
+
+TABLE_4_CSV = b"d,a,b,m,n,gcd,degree\n2,2,2,1,1,1,0\n3,3,3,1,1,1,2\n4,2,2,2,2,2,0\n4,4,2,1,2,1,6\n4,4,4,1,1,1,6\n"
+
+
+def run_with_closed_stderr(args: list[str], env: dict) -> subprocess.CompletedProcess:
+    # stderr is a pipe whose read end is already closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, *args], stdout=subprocess.PIPE, stderr=write_end, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize(
+    "argv, threads, code, out",
+    [
+        # a warning, then the count
+        pytest.param("count --m 2 --n 2 --a 2 --b 2", None, 0, b"0\n", id="count --m 2 --n 2 --a 2 --b 2"),
+        pytest.param("count --m 1 --n 2 --a 2 --b 1", None, 0, b"0\n", id="count --m 1 --n 2 --a 2 --b 1"),
+        # the TVCOUNT_THREADS warning, then the table
+        pytest.param("table --max-d 4 --csv", "x", 0, TABLE_4_CSV, id="TVCOUNT_THREADS=x table --max-d 4 --csv"),
+        # an error from _fail
+        pytest.param("count --m 3 --n 6 --a 2 --b 1", None, 2, b"", id="count --m 3 --n 6 --a 2 --b 1"),
+        pytest.param("class --m 5 --n 3", None, 2, b"", id="class --m 5 --n 3"),
+        # argparse's usage error
+        pytest.param("count --m 2 --n 3 --a 3", None, 1, b"", id="count --m 2 --n 3 --a 3"),
+    ],
+)
+def test_closed_stderr_costs_neither_stdout_nor_the_exit_code(argv, threads, code, out, unbuffered):
+    env = cli_env(unbuffered)
+    env.pop("TVCOUNT_THREADS", None)
+    if threads is not None:
+        env["TVCOUNT_THREADS"] = threads
+    proc = run_with_closed_stderr(["-m", "tvcount.cli", *argv.split()], env)
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stderr_keeps_the_internal_failure_exit_3(unbuffered):
+    # the catch-all's traceback cannot be written, and the exit code is still 3
+    code = (
+        "import sys; from tvcount import cli\n"
+        "def broken(problem): raise RuntimeError('broken kernel')\n"
+        "cli.degree_of_power_sum_locus = broken\n"
+        "sys.exit(cli.main(['count', '--m', '2', '--n', '3', '--a', '3', '--b', '2']))\n"
+    )
+    proc = run_with_closed_stderr(["-c", code], cli_env(unbuffered))
+    assert (proc.returncode, proc.stdout) == (3, b"")
+
+
 def test_cli_import_loads_no_heavy_modules():
     # what a count process pays for before it starts: none of these, unless
     # interpreter start-up (site) had loaded them already
@@ -909,6 +967,7 @@ class --m 2 --n 2 --format latex
 class --m 2 --n 3 --format json
 class --m 3 --n 6
 class --m 3 --n 2
+class --m 5 --n 3
 class --m 1 --n 50000 --format json
 class --m 315 --n 317 --format json
 class --m 600 --n 1201 --format json
@@ -935,6 +994,7 @@ transvect --f 5 --g 0,1
 table --max-d -1
 table --max-d 6
 table --max-d 5 --csv
+table --max-d 4 --csv
 table --max-d 1001 --csv
 table --max-d 27000 --csv
 table --max-d 1000000000000 --csv
