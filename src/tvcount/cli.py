@@ -3,7 +3,9 @@
 Subcommands: count, class, transvect, table, selftest.
 Exit codes: 0 success, 1 usage error or stdout's reader gone, 2 invalid
 problem, a count, class, table or transvect over its budget or a result too
-long to print, 3 self-test mismatch or internal failure.
+long to print, 3 self-test mismatch or internal failure.  When stderr's
+reader has gone, warnings and errors are dropped, and neither stdout nor the
+exit code changes.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
@@ -430,8 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # stdout's reader has gone (`tvcount table ... | head`), since _stderr
-        # takes stderr's: exit 1 with nothing on stderr.  SIGPIPE stays
+        # stdout's reader has gone (`tvcount table ... | head`; _stderr
+        # handles stderr's): exit 1 with nothing on stderr.  SIGPIPE stays
         # ignored, for the pool's pipes
         _to_devnull(sys.stdout)
         return EXIT_USAGE
