@@ -9,10 +9,13 @@ exit code changes.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
-json, traceback and the forms engine are imported only inside the functions
-that use them, and argparse only for help and usage errors: main()
-reads a well-formed command itself, from the same option table that
-build_parser() turns into the argparse parser.
+json, traceback, the forms engine and the Chow-ring engine (counting, cycles
+and ring) are imported only inside the functions that use them, and argparse
+only for help and usage errors: main() reads a well-formed command itself,
+from the same option table that build_parser() turns into the argparse
+parser.  So transvect loads only forms, class only cycles and ring, and count
+no engine when it refuses its input before validation (validation is
+PowerSumProblem's, in cycles).
 """
 
 import math
@@ -21,8 +24,18 @@ import sys
 import types
 
 from ._frozen import integer, max_digits, str_digits_limit
-from .counting import admissible_tuples, degree_of_power_sum_locus, validate
-from .cycles import PowerSumProblem, beta_pushforward
+
+# engine names that stay readable as attributes of this module
+# (tvcount.cli.beta_pushforward and the rest); each lookup reads the name
+# from its module, so a function replaced there is the one seen here
+_ENGINE_NAMES = ("PowerSumProblem", "admissible_tuples", "beta_pushforward", "degree_of_power_sum_locus", "validate")
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,8 +108,10 @@ def cmd_count(args) -> int:
         if args.m is None or args.n is None:
             return _fail("need --m and --n (or --d)", EXIT_USAGE)
         m, n = args.m, args.n
+    from . import counting
+
     try:
-        problem = validate(m, n, args.a, args.b)
+        problem = counting.validate(m, n, args.a, args.b)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INVALID)
     m, n, a, b = problem.m, problem.n, problem.a, problem.b
@@ -104,7 +119,7 @@ def cmd_count(args) -> int:
         return _fail(refused, EXIT_INVALID)
     if too_long := _too_long(problem):
         return _fail(too_long, EXIT_INVALID)
-    degree = degree_of_power_sum_locus(problem)
+    degree = counting.degree_of_power_sum_locus(problem)
     try:
         degree_text = str(degree)
     except ValueError:  # str() of an int longer than the interpreter allows
@@ -151,8 +166,10 @@ def cmd_class(args) -> int:
     m, n = args.m, args.n
     if m > 0 and n > 0 and (refused := _over_budget("class", f"class for (m,n)=({m},{n})", m, n, MAX_CLASS_TERMS)):
         return _fail(refused, EXIT_INVALID)
+    from . import cycles
+
     try:
-        cls = beta_pushforward(m, n)
+        cls = cycles.beta_pushforward(m, n)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INVALID)
     if args.format == "json":
@@ -164,12 +181,12 @@ def cmd_class(args) -> int:
     return EXIT_OK
 
 
-def _too_long_message(problem: PowerSumProblem) -> str:
+def _too_long_message(problem) -> str:
     m, n, a, b = problem.m, problem.n, problem.a, problem.b
     return f"the count for (m,n,a,b)=({m},{n},{a},{b}) has more than {str_digits_limit()} digits, the most str() prints (sys.get_int_max_str_digits())"
 
 
-def _too_long(problem: PowerSumProblem) -> str | None:
+def _too_long(problem) -> str | None:
     """The one-line refusal, before the count is computed, of a count with
     more digits than str() prints, else None.  It is refused when
     floor(m log10 a + n log10 b) >= limit + 1: it is a^m b^n less terms too
@@ -210,8 +227,10 @@ def cmd_transvect(args) -> int:
     return EXIT_OK
 
 
-def _table_row(problem: PowerSumProblem) -> tuple[int, ...]:
-    return (*[getattr(problem, k) for k in COLUMNS], degree_of_power_sum_locus(problem))
+def _table_row(problem) -> tuple[int, ...]:
+    from . import counting
+
+    return (*[getattr(problem, k) for k in COLUMNS], counting.degree_of_power_sum_locus(problem))
 
 
 def _worker_cap(n_jobs: int) -> int:
@@ -243,8 +262,10 @@ MAX_TABLE_D = 1000
 def cmd_table(args) -> int:
     if args.max_d > MAX_TABLE_D:
         return _fail(f"table --max-d {args.max_d} is above {MAX_TABLE_D}, the largest that table builds", EXIT_INVALID)
+    from . import counting
+
     try:
-        problems = admissible_tuples(args.max_d)
+        problems = counting.admissible_tuples(args.max_d)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INVALID)
     rows = None
@@ -272,9 +293,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import counting
+
     failures = 0
     for m, n, a, b, expected in KNOWN_COUNTS:
-        got = degree_of_power_sum_locus(validate(m, n, a, b))
+        got = counting.degree_of_power_sum_locus(counting.validate(m, n, a, b))
         failures += got != expected
         print(f"{'PASS' if got == expected else 'FAIL'} (m,n,a,b)=({m},{n},{a},{b}): expected {expected}, got {got}")
     return EXIT_OK if failures == 0 else EXIT_SELFTEST
@@ -348,6 +371,12 @@ def build_parser():
             _stderr(f"{self.format_usage()}{self.prog}: error: {message}")
             self.exit(EXIT_USAGE)
 
+        # help is written as any command's output is: argparse would drop
+        # the BrokenPipeError of a reader that has gone, which main() handles
+        def _print_message(self, message, file=None):
+            if message:
+                (file or sys.stderr).write(message)
+
     parser = _Parser(
         prog="tvcount",
         description="Exact degree of the locus of degree-d binary forms expressible as f^a + g^b.",
@@ -420,14 +449,8 @@ def _attach_form_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = _attach_form_values(sys.argv[1:] if argv is None else list(argv))
-    args = _read_argv(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
     try:
-        code = args.func(args)
+        code = _run(argv)
         # a write that fails fails here, not in the interpreter's flush at exit
         sys.stdout.flush()
         return code
@@ -442,6 +465,17 @@ def main(argv: list[str] | None = None) -> int:
 
         _stderr(traceback.format_exc().rstrip("\n"))
         return EXIT_SELFTEST
+
+
+def _run(argv: list[str]) -> int:
+    """Run the command argv names; argparse prints help and usage errors."""
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+    return args.func(args)
 
 
 def entry() -> None:

@@ -16,6 +16,8 @@ from math import comb, lcm
 
 from ._frozen import Frozen, integer, max_digits, render_terms
 
+__all__ = ["BinaryForm", "mul_form", "pow_form", "transvectant", "transvectant_support"]
+
 Rationalish = int | str | Fraction
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tvcount
-from tvcount import admissible_tuples, beta_pushforward, cli, forms, integrate_chern_polynomial, validate
+from tvcount import admissible_tuples, beta_pushforward, cli, counting, cycles, forms, integrate_chern_polynomial, validate
 from tvcount._frozen import DEFAULT_MAX_DIGITS
 from tvcount.cli import MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, SQUARES_WARNING, main
 from tvcount.cycles import gcd2_excess
@@ -141,7 +141,7 @@ def test_internal_failure_exits_3_with_a_traceback(capsys, monkeypatch):
     def broken(problem):
         raise RuntimeError("broken kernel")
 
-    monkeypatch.setattr(cli, "degree_of_power_sum_locus", broken)
+    monkeypatch.setattr(counting, "degree_of_power_sum_locus", broken)
     code, out, err = run_cli(capsys, "count", "--m", "2", "--n", "3", "--a", "3", "--b", "2")
     assert (code, out) == (3, "")
     assert err.startswith("Traceback (most recent call last):\n")
@@ -188,7 +188,7 @@ def not_built(m, n):
 @pytest.mark.parametrize("m, n", [(1, 50_000), (315, 317), (600, 1201), (10**9, 2 * 10**9 + 1)])
 def test_class_over_its_term_budget_exits_2_before_building(capsys, monkeypatch, m, n):
     assert (m + 1) * (n + 1) > MAX_CLASS_TERMS
-    monkeypatch.setattr(cli, "beta_pushforward", not_built)
+    monkeypatch.setattr(cycles, "beta_pushforward", not_built)
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "class", "--m", str(m), "--n", str(n), "--format", "json")
     assert (code, out) == (2, "") and time.perf_counter() - t0 < 1
@@ -198,7 +198,7 @@ def test_class_over_its_term_budget_exits_2_before_building(capsys, monkeypatch,
 def test_class_at_its_term_budget_is_built(capsys, monkeypatch):
     # (m+1)(n+1) == MAX_CLASS_TERMS at (1, 49 999)
     built = []
-    monkeypatch.setattr(cli, "beta_pushforward", lambda m, n: built.append((m, n)) or beta_pushforward(1, 1))
+    monkeypatch.setattr(cycles, "beta_pushforward", lambda m, n: built.append((m, n)) or beta_pushforward(1, 1))
     assert run_cli(capsys, "class", "--m", "1", "--n", "49999") == (0, "1\n", "")
     assert built == [(1, 49_999)]
 
@@ -377,7 +377,7 @@ def not_computed(problem):
 @pytest.mark.parametrize("k", [511, 540])
 def test_count_over_the_digit_limit_exits_2_before_computing(capsys, str_digits, monkeypatch, extra, k):
     str_digits(DEFAULT_MAX_DIGITS)
-    monkeypatch.setattr(cli, "degree_of_power_sum_locus", not_computed)
+    monkeypatch.setattr(counting, "degree_of_power_sum_locus", not_computed)
     argv = ("count", "--m", str(k), "--n", str(2 * k + 1), "--a", str(2 * k + 1), "--b", str(k), *extra)
     code, out, err, seconds = timed_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -405,7 +405,7 @@ def test_count_over_its_term_budget_exits_2_before_computing(capsys, str_digits,
     # unchecked, the first takes 4 s and 700 MiB to print 0, and the second
     # runs out of memory building beta
     str_digits(limit)
-    monkeypatch.setattr(cli, "degree_of_power_sum_locus", not_computed)
+    monkeypatch.setattr(counting, "degree_of_power_sum_locus", not_computed)
     code, out, err, seconds = timed_cli(capsys, "count", *argv)
     assert (code, out) == (2, "") and seconds < 1
     assert err.count("\n") == 1 and f"terms, more than the {MAX_COUNT_TERMS} that count builds" in err
@@ -419,7 +419,7 @@ def test_count_at_or_under_its_term_budget_is_computed(capsys, str_digits, monke
     # is at the budget
     str_digits(DEFAULT_MAX_DIGITS)
     computed = []
-    monkeypatch.setattr(cli, "degree_of_power_sum_locus", lambda problem: computed.append(problem) or 1)
+    monkeypatch.setattr(counting, "degree_of_power_sum_locus", lambda problem: computed.append(problem) or 1)
     code, out, _ = run_cli(capsys, "count", "--m", str(m), "--n", str(n), "--a", str(a), "--b", str(b))
     assert (code, out) == (0, "1\n")
     assert computed == [validate(m, n, a, b)]
@@ -448,7 +448,7 @@ def test_count_digit_limit_boundary(capsys, str_digits, monkeypatch, extra):
 
     # refused before computing
     str_digits(661)
-    monkeypatch.setattr(cli, "degree_of_power_sum_locus", not_computed)
+    monkeypatch.setattr(counting, "degree_of_power_sum_locus", not_computed)
     code, out, err, seconds = timed_cli(capsys, *BOUNDARY_ARGV, *extra)
     assert (code, out) == (2, "") and seconds < 1
     assert err.count("\n") == 1 and "more than 661 digits" in err
@@ -620,7 +620,7 @@ def not_enumerated(max_d):
 @pytest.mark.parametrize("max_d", [MAX_TABLE_D + 1, 27_000, 10**12])
 def test_table_over_its_budget_exits_2_before_building_a_row(capsys, monkeypatch, max_d):
     # unchecked, --max-d 27000 builds 824 912 rows in seconds before it refuses one
-    monkeypatch.setattr(cli, "admissible_tuples", not_enumerated)
+    monkeypatch.setattr(counting, "admissible_tuples", not_enumerated)
     code, out, err, seconds = timed_cli(capsys, "table", "--max-d", str(max_d), "--csv")
     assert (code, out) == (2, "") and seconds < 1
     assert err == f"error: table --max-d {max_d} is above {MAX_TABLE_D}, the largest that table builds\n"
@@ -628,7 +628,7 @@ def test_table_over_its_budget_exits_2_before_building_a_row(capsys, monkeypatch
 
 def test_table_at_its_budget_is_built(capsys, monkeypatch):
     asked = []
-    monkeypatch.setattr(cli, "admissible_tuples", lambda max_d: asked.append(max_d) or [])
+    monkeypatch.setattr(counting, "admissible_tuples", lambda max_d: asked.append(max_d) or [])
     assert run_cli(capsys, "table", "--max-d", str(MAX_TABLE_D), "--csv") == (0, "d,a,b,m,n,gcd,degree\n", "")
     assert asked == [MAX_TABLE_D]
 
@@ -819,7 +819,7 @@ def cli_env(unbuffered: bool = False) -> dict:
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
-@pytest.mark.parametrize("argv", ["count --m 2 --n 3 --a 3 --b 2", "selftest", "table --max-d 40"])
+@pytest.mark.parametrize("argv", ["count --m 2 --n 3 --a 3 --b 2", "selftest", "table --max-d 40", "--help", "count --help"])
 def test_closed_stdout_exits_1_with_nothing_on_stderr(argv, unbuffered):
     # stdout is a pipe whose read end is already closed
     read_end, write_end = os.pipe()
@@ -899,19 +899,23 @@ def test_closed_stderr_costs_neither_stdout_nor_the_exit_code(argv, threads, cod
 def test_closed_stderr_keeps_the_internal_failure_exit_3(unbuffered):
     # the catch-all's traceback cannot be written, and the exit code is still 3
     code = (
-        "import sys; from tvcount import cli\n"
+        "import sys; from tvcount import cli, counting\n"
         "def broken(problem): raise RuntimeError('broken kernel')\n"
-        "cli.degree_of_power_sum_locus = broken\n"
+        "counting.degree_of_power_sum_locus = broken\n"
         "sys.exit(cli.main(['count', '--m', '2', '--n', '3', '--a', '3', '--b', '2']))\n"
     )
     proc = run_with_closed_stderr(["-c", code], cli_env(unbuffered))
     assert (proc.returncode, proc.stdout) == (3, b"")
 
 
+ENGINE = ("tvcount.counting", "tvcount.cycles", "tvcount.ring", "tvcount.forms")
+CHOW_RING = ["tvcount.counting", "tvcount.cycles", "tvcount.ring"]
+
+
 def test_cli_import_loads_no_heavy_modules():
     # what a count process pays for before it starts: none of these, unless
     # interpreter start-up (site) had loaded them already
-    heavy = ("dataclasses", "inspect", "fractions", "decimal", "json", "traceback", "tvcount.forms", "argparse")
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "json", "traceback", "argparse", *ENGINE)
     code = (
         "import sys; before = set(sys.modules); import tvcount.cli; "
         f"print([m for m in {heavy!r} if m in set(sys.modules) - before])"
@@ -920,6 +924,31 @@ def test_cli_import_loads_no_heavy_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ("transvect --f 1,0,0 --g 0,1", ["tvcount.forms"]),
+        ("class --m 2 --n 3", ["tvcount.cycles", "tvcount.ring"]),
+        ("count --m 2 --n 3 --a 3 --b 2", CHOW_RING),
+        # refused before validation: d is not divisible by a
+        ("count --d 7 --a 3 --b 2", []),
+        # refused by validation, which is PowerSumProblem's
+        ("count --m 3 --n 6 --a 2 --b 1", CHOW_RING),
+        ("table --max-d 6", CHOW_RING),
+        ("selftest", CHOW_RING),
+    ],
+)
+def test_each_command_loads_only_the_engine_it_runs(argv, loaded):
+    code = (
+        "import sys; from tvcount.cli import main; "
+        f"main({argv.split()!r}); print([m for m in {ENGINE!r} if m in sys.modules])"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "TVCOUNT_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": PACKAGE_ROOT})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
 
 
 # -- reading argv ------------------------------------------------------------------

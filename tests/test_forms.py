@@ -3,11 +3,15 @@ the structural coefficients of the transvectant in the binomial view."""
 
 import hashlib
 import importlib
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +341,8 @@ PUBLIC_NAMES = [
 
 def test_package_exposes_every_name_in_all():
     assert tvcount.__all__ == PUBLIC_NAMES
+    # the modules whose names the package loads on first access
+    assert sorted(tvcount._NAMES) == ["counting", "cycles", "forms", "ring"]
     assert tvcount.transvectant is forms.transvectant
     assert set(tvcount.__all__) <= set(dir(tvcount))
     namespace: dict = {}
@@ -366,18 +372,40 @@ def test_package_exposes_every_name_in_all():
             ["PowerSumProblem", "alpha_classes", "ambient_spec", "beta_pushforward", "blowup_class_S", "gamma_class"],
         ),
         ("ring", ["RingSpec", "TruncatedPolynomial", "geometric_inverse"]),
+        ("forms", ["BinaryForm", "mul_form", "pow_form", "transvectant", "transvectant_support"]),
     ],
 )
 def test_star_import_binds_exactly_the_module_all(module, names):
     # chern_roots, gcd2_excess and the imports stay module-level names only
     mod = importlib.import_module(f"tvcount.{module}")
     assert mod.__all__ == names
+    # the package's name map, which it reads without importing the module
+    assert list(tvcount._NAMES[module]) == names
     namespace: dict = {}
     exec(f"from tvcount.{module} import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == names
     assert all(getattr(tvcount, name) is value for name, value in namespace.items())
     assert {"chern_roots", "gcd2_excess", "math"}.isdisjoint(namespace)
+
+
+def test_a_bare_import_loads_no_module_and_keeps_the_surface():
+    # in a fresh process: the names and the submodules load on first access
+    code = """import sys
+import tvcount
+print(sorted(m for m in sys.modules if m.startswith("tvcount.")))
+print(tvcount.ring is sys.modules["tvcount.ring"], tvcount.counting is sys.modules["tvcount.counting"])
+print(sorted((set(tvcount.__all__) | {"counting", "cycles", "forms", "ring"}) - set(dir(tvcount))))
+namespace = {}
+exec("from tvcount import *", namespace)
+del namespace["__builtins__"]
+print(sorted(namespace) == sorted(tvcount.__all__))
+print([n for n, v in namespace.items() if n != "__version__" and v is not getattr(sys.modules[v.__module__], n)])
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(tvcount.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True", "[]", "True", "[]"]
 
 
 # -- exact identities (spot checks; the full randomized suite runs in acceptance) --
