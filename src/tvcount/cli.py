@@ -9,13 +9,12 @@ exit code changes.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
-json, traceback, the forms engine and the Chow-ring engine (counting, cycles
-and ring) are imported only inside the functions that use them, and argparse
-only for help and usage errors: main() reads a well-formed command itself,
-from the same option table that build_parser() turns into the argparse
-parser.  So transvect loads only forms, class only cycles and ring, and count
-no engine when it refuses its input before validation (validation is
-PowerSumProblem's, in cycles).
+main() reads every argv, help and usage errors included, from one option
+table, _COMMANDS.  json, traceback, textwrap, the forms engine and the
+Chow-ring engine (counting, cycles and ring) are imported only inside the
+functions that use them.  So transvect loads only forms, class only cycles and
+ring, and count no engine when it refuses its input before validation
+(validation is PowerSumProblem's, in cycles).
 """
 
 import math
@@ -25,10 +24,10 @@ import types
 
 from ._frozen import integer, max_digits, str_digits_limit
 
-# engine names that stay readable as attributes of this module
-# (tvcount.cli.beta_pushforward and the rest); each lookup reads the name
-# from its module, so a function replaced there is the one seen here
-_ENGINE_NAMES = ("PowerSumProblem", "admissible_tuples", "beta_pushforward", "degree_of_power_sum_locus", "validate")
+# engine names that stay readable as attributes of this module, for the
+# benchmark's tracer tests (tvcount.cli.beta_pushforward); each lookup reads
+# the name from its module, so a function replaced there is the one seen here
+_ENGINE_NAMES = ("beta_pushforward", "degree_of_power_sum_locus")
 
 
 def __getattr__(name: str):
@@ -305,13 +304,15 @@ def cmd_selftest(args) -> int:
 
 # each command's function, help, description and options; an option is
 # (flag, dest, kind, required, default, help), where kind is int, str, a
-# tuple of choices, or bool for a store_true flag.  build_parser() and
-# _read_argv() both read this table.
+# tuple of choices, or bool for a flag that takes no value; a required
+# option's default is None.  _read_argv(), _usage() and cmd_help() read this
+# table.
 _COMMANDS = {
     "count": (
         cmd_count,
         "degree of the f^a + g^b locus",
-        f"Refuses (exit 2) a count with (m+1)(n+1) above {MAX_COUNT_TERMS} terms.",
+        f"Refuses (exit 2) a count with (m+1)(n+1) above {MAX_COUNT_TERMS} terms, "
+        "or with more digits than str() prints (sys.get_int_max_str_digits()).",
         (
             ("--m", "m", int, False, None, "degree of f (with --n; or use --d)"),
             ("--n", "n", int, False, None, "degree of g"),
@@ -326,9 +327,9 @@ _COMMANDS = {
         "pushed-forward fundamental class for (m, n)",
         f"Refuses (exit 2) a class with (m+1)(n+1) above {MAX_CLASS_TERMS} terms.",
         (
-            ("--m", "m", int, True, None, None),
-            ("--n", "n", int, True, None, None),
-            ("--format", "format", ("text", "json", "latex"), False, "text", None),
+            ("--m", "m", int, True, None, "degree of f"),
+            ("--n", "n", int, True, None, "degree of g"),
+            ("--format", "format", ("text", "json", "latex"), False, "text", "output format (default text)"),
         ),
     ),
     "transvect": (
@@ -351,7 +352,7 @@ _COMMANDS = {
         "TVCOUNT_THREADS=N evaluates rows in N worker processes, at most one per CPU (unset, 0 or 1 = serial), "
         "about 4 chunks of rows per worker.",
         (
-            ("--max-d", "max_d", int, True, None, None),
+            ("--max-d", "max_d", int, True, None, "largest total degree d"),
             ("--csv", "csv", bool, False, False, f"emit CSV ({','.join(COLUMNS)},degree)"),
         ),
     ),
@@ -359,96 +360,92 @@ _COMMANDS = {
 }
 
 
-def build_parser():
-    """The argparse parser of _COMMANDS; main() builds it only for help and
-    for argv that _read_argv() leaves to it."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        # usage errors exit 1 (argparse defaults to 2, which is reserved for
-        # invalid problems); the usage and the error go out through _stderr
-        def error(self, message):
-            _stderr(f"{self.format_usage()}{self.prog}: error: {message}")
-            self.exit(EXIT_USAGE)
-
-        # help is written as any command's output is: argparse would drop
-        # the BrokenPipeError of a reader that has gone, which main() handles
-        def _print_message(self, message, file=None):
-            if message:
-                (file or sys.stderr).write(message)
-
-    parser = _Parser(
-        prog="tvcount",
-        description="Exact degree of the locus of degree-d binary forms expressible as f^a + g^b.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, (func, summary, description, options) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary, description=description)
-        for flag, dest, kind, required, default, help_ in options:
-            how = {bool: {"action": "store_true"}, int: {"type": int}, str: {}}.get(kind, {"choices": kind})
-            p.add_argument(flag, dest=dest, required=required, default=default, help=help_, **how)
-        p.set_defaults(func=func)
-    return parser
+class _UsageError(Exception):
+    """A malformed argv; args: the command (None if argv names none), the message."""
 
 
-def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
-    """The namespace build_parser().parse_args(argv) gives for a well-formed
-    command, read without argparse; None for anything else, which main()
-    leaves to argparse: help, an unknown or abbreviated option, a bad or
-    missing value, a separate value that starts with "-" (argparse's
-    negative-number rule), a flag given "=value", a stray token or "--", or
-    a missing required option."""
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    func, _, _, options = _COMMANDS[argv[0]]
+def _spelling(option: tuple) -> str:
+    flag, dest, kind, _, _, _ = option
+    if kind is bool:
+        return flag
+    return f"{flag} {dest.upper() if kind in (int, str) else '{' + ','.join(kind) + '}'}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: tvcount [-h] {{{','.join(_COMMANDS)}}} ..."
+    options = [_spelling(o) if o[3] else f"[{_spelling(o)}]" for o in _COMMANDS[command][3]]
+    return " ".join(["usage: tvcount", command, "[-h]", *options])
+
+
+def cmd_help(args) -> int:
+    """Print the usage line, the description and a line per command or option."""
+    import textwrap
+
+    if args.command is None:
+        description = "Exact degree of the locus of degree-d binary forms expressible as f^a + g^b."
+        lines = [(name, summary) for name, (_, summary, _, _) in _COMMANDS.items()]
+    else:
+        _, _, description, options = _COMMANDS[args.command]
+        lines = [(_spelling(option), option[5]) for option in options]
+    lines.append(("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in lines)
+    print(_usage(args.command), end="\n\n")
+    if description:
+        print(textwrap.fill(description, 79), end="\n\n")
+    for left, right in lines:
+        print(f"  {left.ljust(width)}  {right}")
+    return EXIT_OK
+
+
+def _read_argv(argv: list[str]) -> types.SimpleNamespace:
+    """The namespace of the command argv names, or of cmd_help for -h or
+    --help read before any error.  An option's value is its "=value" or the
+    next token, unless that token starts with "--": "--f -1,2" and "--a -3"
+    are values.  A repeated option keeps its last value.  Raises _UsageError
+    for anything else: no command or an unknown one, an unknown or
+    abbreviated option or a stray token, a flag given "=value", a missing or
+    bad value, or a missing required option."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return types.SimpleNamespace(command=None, func=cmd_help)
+    if command not in _COMMANDS:
+        raise _UsageError(None, f"the first argument must be a command: {', '.join(_COMMANDS)}")
+    func, _, _, options = _COMMANDS[command]
     by_flag = {option[0]: option for option in options}
     values = {dest: default for _, dest, _, _, default, _ in options}
-    given = set()
     tokens = iter(argv[1:])
     for token in tokens:
+        if token in ("-h", "--help"):
+            return types.SimpleNamespace(command=command, func=cmd_help)
         flag, eq, value = token.partition("=")
         if flag not in by_flag:
-            return None
+            raise _UsageError(command, f"unrecognized arguments: {token}")
         _, dest, kind, _, _, _ = by_flag[flag]
         if kind is bool:
             if eq:
-                return None
+                raise _UsageError(command, f"argument {flag}: ignored explicit argument {value!r}")
             value = True
         else:
             if not eq:
-                # a missing value reads as "-", which is argparse's too
-                value = next(tokens, "-")
-                if value.startswith("-"):
-                    return None
+                value = next(tokens, "--")  # none left: no value
+                if value.startswith("--"):
+                    raise _UsageError(command, f"argument {flag}: expected one argument")
             if kind is int:
                 try:
                     value = int(value)
                 except ValueError:
-                    return None
+                    raise _UsageError(command, f"argument {flag}: invalid int value: {value!r}") from None
             elif kind is not str and value not in kind:
-                return None
+                raise _UsageError(command, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
         values[dest] = value
-        given.add(dest)
-    if any(required and dest not in given for _, dest, _, required, _, _ in options):
-        return None
-    return types.SimpleNamespace(command=argv[0], func=func, **values)
-
-
-def _attach_form_values(argv: list[str]) -> list[str]:
-    """Join each --f/--g to the value after it ("--f -1,2" becomes
-    "--f=-1,2"): argparse reads a separate value that starts with a minus
-    sign as an option and fails with "expected one argument"."""
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in ("--f", "--g") and not token.startswith("--"):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
+    if missing := [flag for flag, dest, _, required, _, _ in options if required and values[dest] is None]:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    return types.SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _attach_form_values(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         code = _run(argv)
         # a write that fails fails here, not in the interpreter's flush at exit
@@ -468,13 +465,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str]) -> int:
-    """Run the command argv names; argparse prints help and usage errors."""
-    args = _read_argv(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    """Run the command argv names; a usage error goes to stderr under the
+    usage line."""
+    try:
+        args = _read_argv(argv)
+    except _UsageError as exc:
+        command, message = exc.args
+        prog = f"tvcount {command}" if command else "tvcount"
+        _stderr(f"{_usage(command)}\n{prog}: error: {message}")
+        return EXIT_USAGE
     return args.func(args)
 
 

@@ -6,7 +6,8 @@ the gamma and beta classes: the recurrence, geometric-series, multinomial
 and explicit-sum forms, built with generic ring arithmetic instead of the
 count's closed forms, the per-term formulas of both classes with every
 binomial from math.comb, and the Horner route for the Chern integral, and
-the count's closed formula."""
+the count's closed formula, and argparse as the reference for the CLI's
+parser."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import random
 from fractions import Fraction
 
 from tvcount import BinaryForm, RingSpec, TruncatedPolynomial, alpha_classes, beta_pushforward, geometric_inverse, transvectant, validate
+from tvcount.cli import _COMMANDS
 from tvcount.cycles import ambient_spec, gcd2_excess
 
 
@@ -258,3 +260,45 @@ def closed_formula_count(problem) -> int:
         pairs = math.comb(big_n, 2)
         count -= e20 * (pairs - a * (big_n - 1) + a * a) + e11 * (b - 1) * (big_n - 1) * (a - big_n) + e02 * pairs * (b - 1) ** 2
     return count
+
+
+# -- argparse as the reference for the CLI's parser ---------------------------------
+
+
+def argparse_reference():
+    """parse(argv): the namespace an argparse parser built from
+    tvcount.cli._COMMANDS gives for argv, or None where it refuses argv.  A
+    valued option and a separate value after it that does not start with
+    "--" are joined first ("--a -3" becomes "--a=-3"): that is the CLI's value
+    rule, which argparse lacks.  Like the CLI's parser it takes no
+    abbreviated option; it knows no -h, which the CLI reads as help."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+    parser = Parser(prog="tvcount", add_help=False, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
+    for command, (func, _, _, options) in _COMMANDS.items():
+        p = sub.add_parser(command, add_help=False, allow_abbrev=False)
+        for flag, dest, kind, required, default, _ in options:
+            how = {bool: {"action": "store_true"}, int: {"type": int}, str: {}}.get(kind, {"choices": kind})
+            p.add_argument(flag, dest=dest, required=required, default=default, **how)
+        p.set_defaults(func=func)
+
+    def parse(argv: list[str]):
+        options = _COMMANDS[argv[0]][3] if argv and argv[0] in _COMMANDS else ()
+        valued = {flag for flag, _, kind, _, _, _ in options if kind is not bool}
+        joined: list[str] = []
+        for token in argv:
+            if joined and joined[-1] in valued and not token.startswith("--"):
+                joined[-1] = f"{joined[-1]}={token}"
+            else:
+                joined.append(token)
+        try:
+            return parser.parse_args(joined)
+        except ValueError:
+            return None
+
+    return parse

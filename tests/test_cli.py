@@ -18,7 +18,7 @@ from tvcount._frozen import DEFAULT_MAX_DIGITS
 from tvcount.cli import MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, SQUARES_WARNING, main
 from tvcount.cycles import gcd2_excess
 
-from .helpers import brute_force_admissible, far_denominators, gamma_terms
+from .helpers import argparse_reference, brute_force_admissible, far_denominators, gamma_terms
 
 # the src directory this tvcount was imported from, for subprocesses
 PACKAGE_ROOT = str(Path(tvcount.__file__).resolve().parents[1])
@@ -797,6 +797,40 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
+@pytest.mark.parametrize("argv", ["-h", "--help x", "count -h", "class --m 2 --help", "table -h --max-d x", "transvect --help", "selftest -h"])
+def test_help_prints_the_usage_and_a_line_per_command_or_option(capsys, argv):
+    # help read before any error wins over what follows it
+    code, out, err = run_cli(capsys, *argv.split())
+    command = argv.split()[0] if argv.split()[0] in cli._COMMANDS else None
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: tvcount {command or '[-h]'}")
+    names = [o[0] for o in cli._COMMANDS[command][3]] if command else list(cli._COMMANDS)
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    assert listed == [*names, "-h,"]
+
+
+def test_usage_error_is_the_usage_line_and_the_error_on_stderr(capsys):
+    usage = "usage: tvcount count [-h] [--m M] [--n N] --a A --b B [--d D] [--json]\n"
+    code, out, err = run_cli(capsys, "count", "--m", "2", "--n", "3", "--a", "3")
+    assert (code, out, err) == (1, "", f"{usage}tvcount count: error: the following arguments are required: --b\n")
+    # an error read before -h wins over it
+    code, out, err = run_cli(capsys, "count", "--m", "x", "-h")
+    assert (code, out, err) == (1, "", f"{usage}tvcount count: error: argument --m: invalid int value: 'x'\n")
+
+
+def test_abbreviated_option_exits_1(capsys):
+    # argparse took --max for --max-d; the parser knows only whole flags
+    code, out, err = run_cli(capsys, "table", "--max", "6")
+    assert (code, out) == (1, "")
+    assert err.endswith("tvcount table: error: unrecognized arguments: --max\n")
+
+
+def test_separate_value_with_underscores_reaches_the_integer_gate(capsys):
+    # argparse read -3_000 as an option (exit 1); it is a value, which the
+    # integer gate refuses
+    assert run_cli(capsys, "count", "--d", "6", "--a", "-3_000", "--b", "2") == (2, "", "error: a must be a positive integer, got -3000\n")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tvcount.cli", "count", "--m", "2", "--n", "3", "--a", "3", "--b", "2"],
@@ -882,7 +916,7 @@ def run_with_closed_stderr(args: list[str], env: dict) -> subprocess.CompletedPr
         # an error from _fail
         pytest.param("count --m 3 --n 6 --a 2 --b 1", None, 2, b"", id="count --m 3 --n 6 --a 2 --b 1"),
         pytest.param("class --m 5 --n 3", None, 2, b"", id="class --m 5 --n 3"),
-        # argparse's usage error
+        # a usage error
         pytest.param("count --m 2 --n 3 --a 3", None, 1, b"", id="count --m 2 --n 3 --a 3"),
     ],
 )
@@ -915,7 +949,7 @@ CHOW_RING = ["tvcount.counting", "tvcount.cycles", "tvcount.ring"]
 def test_cli_import_loads_no_heavy_modules():
     # what a count process pays for before it starts: none of these, unless
     # interpreter start-up (site) had loaded them already
-    heavy = ("dataclasses", "inspect", "fractions", "decimal", "json", "traceback", "argparse", *ENGINE)
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "json", "traceback", "textwrap", "argparse", *ENGINE)
     code = (
         "import sys; before = set(sys.modules); import tvcount.cli; "
         f"print([m for m in {heavy!r} if m in set(sys.modules) - before])"
@@ -1055,7 +1089,7 @@ count --m 3 --n 6 --a 2 --b 1
 count --d 7 --a 3 --b 2
 """
 
-# argv the reader must leave to argparse, whatever argparse makes of them
+# argv the parser refuses, or answers with help
 MALFORMED_ARGV = """
 -h
 coun --m 2 --n 3 --a 3 --b 2
@@ -1065,8 +1099,7 @@ table --max 6
 table --max=6 --csv
 count --m 2 --n 3 --a 3 --b 2 --js
 count --m 2 --n 3 --a 3 --b 2 --json=1
-count --m 2 --n 3 --a -3_000 --b 2
-count --m 2 --n 3 --a -3 --b 2
+count --m 2 --n 3 --a --3 --b 2
 class --m 2 --n 3 --format
 transvect --f 1,0 --g 0,1 --binomial=yes
 selftest --
@@ -1074,10 +1107,9 @@ selftest 3
 """
 
 FORMS = ("1,0", "-1,1/2", "3", "")
-# values that leave a command to argparse: a separate one that starts with
-# "-" (argparse's negative-number rule, which takes -3 but not -3_000), or
-# one that int() or the choices refuse
-BAD_INTS = ("-3", "-3_000", "3.0", "x", "")
+# values the parser refuses: a separate one that starts with "--", which is
+# no value, or one that int() or the choices refuse
+BAD_INTS = ("--3", "-x", "3.0", "x", "")
 BAD_CHOICES = ("xml", "", "TEXT")
 STRAYS = ("3", "x", "count", "--", "-h", "--help", "-m", "--q", "--verbose")
 
@@ -1101,16 +1133,15 @@ def generated_argv(rng, per_command=300):
                     units.append((option, [flag]))
                     continue
                 value = str(rng.randint(-5, 10**6)) if kind is int else rng.choice(FORMS if kind is str else kind)
-                tokens = [f"{flag}={value}"] if value.startswith("-") else option_tokens(rng, flag, value)
-                units.append((option, tokens))
+                units.append((option, option_tokens(rng, flag, value)))
             rng.shuffle(units)
             spoilt = rng.random() < 0.6 and spoil(rng, options, units)
             yield [command, *(token for _, tokens in units for token in tokens)], not spoilt
 
 
 def spoil(rng, options, units) -> bool:
-    """Give units one defect that leaves the command to argparse; False when
-    the defect drawn does not apply to them."""
+    """Give units one defect that the parser refuses (or, for -h or --help,
+    answers with help); False when the defect drawn does not apply to them."""
     kind = rng.randrange(6)
     if kind == 0:  # a bad value
         typed = [(option, tokens) for option, tokens in units if option[2] not in (str, bool)]
@@ -1146,30 +1177,36 @@ def spoil(rng, options, units) -> bool:
     return True
 
 
-def test_reader_agrees_with_argparse(capsys):
-    # the reader gives None, and main() argparse, or it gives what argparse
-    # gives; it takes every well-formed argv and leaves every malformed one
+def read_argv(argv):
+    """The parser's namespace for argv; None for help or a usage error."""
+    try:
+        args = cli._read_argv(argv)
+    except cli._UsageError:
+        return None
+    return None if args.func is cli.cmd_help else args
+
+
+def test_reader_agrees_with_argparse():
+    # the parser takes exactly the well-formed argv, and for each gives what
+    # argparse, the reference, gives; argparse refuses what it refuses
     corpus = [(line.split(), None) for line in TEST_ARGV.strip().splitlines()]
     corpus += [(line.split(), True) for line in BENCH_ARGV.strip().splitlines()]
     corpus += [(line.split(), False) for line in MALFORMED_ARGV.strip().splitlines()]
-    # an empty argv, and a repeated option: the last value counts
+    # an empty argv, a repeated option (the last value counts) and separate
+    # values that start with "-"
     corpus += [([], False), ("count --m 9 --m 2 --n 3 --a 3 --b 2 --json --json".split(), True)]
+    corpus += [("count --m 2 --n 3 --a -3 --b 2".split(), True), ("count --m 2 --n 3 --a -3_000 --b 2".split(), True)]
     corpus += generated_argv(random.Random(17))
-    parser = cli.build_parser()
+    reference = argparse_reference()
     read = 0
     for argv, well_formed in corpus:
-        argv = cli._attach_form_values(argv)
-        got = cli._read_argv(argv)
+        got, want = read_argv(argv), reference(argv)
         if well_formed is not None:
             assert (got is not None) == well_formed, argv
-        if got is None:
-            continue
-        try:
-            want = parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"the reader took {argv}, which argparse refuses: {capsys.readouterr().err}")
-        assert vars(got) == vars(want), argv
-        read += 1
+        assert (got is None) == (want is None), argv
+        if got is not None:
+            assert vars(got) == vars(want), argv
+            read += 1
     assert len(corpus) > 1500 and read > len(corpus) // 3
 
 
@@ -1181,8 +1218,8 @@ def test_reader_agrees_with_argparse(capsys):
         (["transvect", "--f", "-1,2", "--g", "1,1"], False),
         (["table", "--max-d", "6"], False),
         (["selftest"], False),
-        (["--help"], True),
-        (["count", "--a", "3"], True),
+        (["--help"], False),
+        (["count", "--a", "3"], False),
     ],
 )
 def test_well_formed_commands_do_not_import_argparse(argv, imports_argparse):
