@@ -10,19 +10,20 @@ JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
 main() reads every argv, help and usage errors included, from one option
-table, _COMMANDS.  json, traceback, textwrap, the forms engine and the
-Chow-ring engine (counting, cycles and ring) are imported only inside the
-functions that use them.  So transvect loads only forms, class only cycles and
-ring, and count no engine when it refuses its input before validation
-(validation is PowerSumProblem's, in cycles).
+table, _COMMANDS.  This module holds what every process runs: the table, the
+reader, help, and the helpers that print.  Each command loads only its own
+module and the engine it runs: a command's code is a module of this package
+(count, class_, transvect, table, selftest), imported only when argv names
+the command, and json, traceback, textwrap, the engines and the pool are
+imported only inside the functions that use them.  So transvect loads only
+forms, class only cycles and ring, and count no engine when it refuses its
+input before validation (validation is PowerSumProblem's, in cycles).
 """
 
-import math
+import importlib
 import os
 import sys
 import types
-
-from ._frozen import integer, max_digits, str_digits_limit
 
 # engine names that stay readable as attributes of this module, for the
 # benchmark's tracer tests (tvcount.cli.beta_pushforward); each lookup reads
@@ -32,7 +33,7 @@ _ENGINE_NAMES = ("beta_pushforward", "degree_of_power_sum_locus")
 
 def __getattr__(name: str):
     if name in _ENGINE_NAMES:
-        return getattr(sys.modules[__package__], name)
+        return getattr(sys.modules["tvcount"], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -44,15 +45,6 @@ EXIT_SELFTEST = 3
 # a problem's columns, in the order table prints them; count --json reports
 # the same fields
 COLUMNS = ("d", "a", "b", "m", "n", "gcd")
-
-# the counts `selftest` checks: 40 and 3762 are classical anchors, 29822 and
-# 626327 the paper's own values
-KNOWN_COUNTS = (
-    (2, 3, 3, 2, 40),
-    (4, 6, 3, 2, 3762),
-    (3, 5, 5, 3, 29822),
-    (4, 10, 5, 2, 626327),
-)
 
 DEGENERATE_WARNING = "a = 1 or b = 1: the locus is the whole space; the reported number is still the raw intersection product"
 SQUARES_WARNING = (
@@ -91,51 +83,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def cmd_count(args) -> int:
-    inputs = {k: getattr(args, k) for k in ("m", "n", "a", "b", "d") if getattr(args, k) is not None}
-    if args.d is not None:
-        if args.m is not None or args.n is not None:
-            return _fail("give either --m/--n or --d, not both", EXIT_USAGE)
-        try:
-            d, a, b = integer("d", args.d, 1), integer("a", args.a, 1), integer("b", args.b, 1)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_INVALID)
-        if d % a or d % b:
-            return _fail(f"d = {d} is not divisible by both a = {a} and b = {b}", EXIT_INVALID)
-        m, n = d // a, d // b
-    else:
-        if args.m is None or args.n is None:
-            return _fail("need --m and --n (or --d)", EXIT_USAGE)
-        m, n = args.m, args.n
-    from . import counting
-
-    try:
-        problem = counting.validate(m, n, args.a, args.b)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    m, n, a, b = problem.m, problem.n, problem.a, problem.b
-    if refused := _over_budget("count", f"count for (m,n,a,b)=({m},{n},{a},{b})", m, n, MAX_COUNT_TERMS):
-        return _fail(refused, EXIT_INVALID)
-    if too_long := _too_long(problem):
-        return _fail(too_long, EXIT_INVALID)
-    degree = counting.degree_of_power_sum_locus(problem)
-    try:
-        degree_text = str(degree)
-    except ValueError:  # str() of an int longer than the interpreter allows
-        return _fail(_too_long_message(problem), EXIT_INVALID)
-    warnings = [DEGENERATE_WARNING] if problem.degenerate else []
-    if a == b == 2:
-        warnings.append(SQUARES_WARNING)
-    if args.json:
-        result = {k: getattr(problem, k) for k in COLUMNS}
-        _print_envelope("count", inputs, {**result, "degree": degree_text}, warnings)
-    else:
-        for w in warnings:
-            _stderr(f"warning: {w}")
-        print(degree_text)
-    return EXIT_OK
-
-
 def _over_budget(command: str, subject: str, m: int, n: int, budget: int) -> str | None:
     """The one-line refusal of a ``subject`` of up to (m+1)(n+1) terms when
     that is more than ``budget``, the most that ``command`` builds, else
@@ -160,146 +107,20 @@ MAX_COUNT_TERMS = 1_000_000
 # limit Python allows
 MAX_CLASS_TERMS = 100_000
 
-
-def cmd_class(args) -> int:
-    m, n = args.m, args.n
-    if m > 0 and n > 0 and (refused := _over_budget("class", f"class for (m,n)=({m},{n})", m, n, MAX_CLASS_TERMS)):
-        return _fail(refused, EXIT_INVALID)
-    from . import cycles
-
-    try:
-        cls = cycles.beta_pushforward(m, n)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    if args.format == "json":
-        _print_envelope("class", {"m": m, "n": n}, cls.to_dict(), [])
-    elif args.format == "latex":
-        print(cls.to_latex())
-    else:
-        print(cls)
-    return EXIT_OK
-
-
-def _too_long_message(problem) -> str:
-    m, n, a, b = problem.m, problem.n, problem.a, problem.b
-    return f"the count for (m,n,a,b)=({m},{n},{a},{b}) has more than {str_digits_limit()} digits, the most str() prints (sys.get_int_max_str_digits())"
-
-
-def _too_long(problem) -> str | None:
-    """The one-line refusal, before the count is computed, of a count with
-    more digits than str() prints, else None.  It is refused when
-    floor(m log10 a + n log10 b) >= limit + 1: it is a^m b^n less terms too
-    small to cost it a digit there.  A count the estimate lets through is
-    refused by str() itself once computed."""
-    limit = str_digits_limit()
-    if limit and math.floor(problem.m * math.log10(problem.a) + problem.n * math.log10(problem.b)) > limit:
-        return _too_long_message(problem)
-    return None
-
-
-def cmd_transvect(args) -> int:
-    from . import forms
-
-    # degrees from the comma counts: the work bound refuses before parsing
-    m, n = args.f.count(","), args.g.count(",")
-    if refused := forms.transvectant_refusal(m, n):
-        return _fail(refused, EXIT_INVALID)
-    build = forms.BinaryForm.from_binomial if args.binomial else forms.BinaryForm
-    try:
-        f = build(m, [part.strip() for part in args.f.split(",")])
-        g = build(n, [part.strip() for part in args.g.split(",")])
-    except (ValueError, ZeroDivisionError) as exc:
-        return _fail(f"malformed coefficient list: {exc}", EXIT_USAGE)
-    try:
-        t = forms.transvectant(f, g)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    try:
-        result = t.to_dict()
-    except ValueError:  # str() of an int longer than the interpreter allows
-        return _fail(f"result has a coefficient longer than {max_digits()} digits; too long to print", EXIT_INVALID)
-    if args.json:
-        inputs = {"f": args.f, "g": args.g, "binomial": bool(args.binomial)}
-        _print_envelope("transvect", inputs, result, [])
-    else:
-        print(",".join(result["coeffs"]))
-    return EXIT_OK
-
-
-def _table_row(problem) -> tuple[int, ...]:
-    from . import counting
-
-    return (*[getattr(problem, k) for k in COLUMNS], counting.degree_of_power_sum_locus(problem))
-
-
-def _worker_cap(n_jobs: int) -> int:
-    raw = os.environ.get("TVCOUNT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        _stderr(f"warning: ignoring non-integer TVCOUNT_THREADS={raw!r}")
-        return 1
-    return max(1, min(cap, n_jobs, _usable_cpus()))
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; a pool starts all its workers at
-    once, so it gets no more than these."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # the largest --max-d table builds: 15 237 rows, 5 to 6 s serially on a
 # 2-vCPU VM; no row's count has more than 172 digits ((6,332,166,3)), below
 # 640, the lowest str(int) limit Python allows, so no row is too long to print
 MAX_TABLE_D = 1000
 
 
-def cmd_table(args) -> int:
-    if args.max_d > MAX_TABLE_D:
-        return _fail(f"table --max-d {args.max_d} is above {MAX_TABLE_D}, the largest that table builds", EXIT_INVALID)
-    from . import counting
+def _command(module: str):
+    """The function of the command whose code is the submodule ``module``:
+    it imports that module, and calls its run(args), only when it is called."""
 
-    try:
-        problems = counting.admissible_tuples(args.max_d)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    rows = None
-    workers = _worker_cap(len(problems)) if problems else 1
-    if workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
+    def command(args) -> int:
+        return importlib.import_module(f"{__name__}.{module}").run(args)
 
-            # about 4 chunks per worker: one pickle round trip per chunk, not
-            # per row; map keeps the input order
-            chunksize = -(-len(problems) // (4 * workers))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_table_row, problems, chunksize=chunksize))
-        except OSError as exc:
-            _stderr(f"warning: parallel evaluation unavailable ({exc}); running serially")
-    if rows is None:
-        rows = [_table_row(p) for p in problems]
-
-    cells = [(*COLUMNS, "degree"), *(tuple(map(str, row)) for row in rows)]
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    for r in cells:
-        # one print per line: an unbuffered stdout does not retry a short write
-        print(",".join(r) if args.csv else "  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    return EXIT_OK
-
-
-def cmd_selftest(args) -> int:
-    from . import counting
-
-    failures = 0
-    for m, n, a, b, expected in KNOWN_COUNTS:
-        got = counting.degree_of_power_sum_locus(counting.validate(m, n, a, b))
-        failures += got != expected
-        print(f"{'PASS' if got == expected else 'FAIL'} (m,n,a,b)=({m},{n},{a},{b}): expected {expected}, got {got}")
-    return EXIT_OK if failures == 0 else EXIT_SELFTEST
+    return command
 
 
 # each command's function, help, description and options; an option is
@@ -309,7 +130,7 @@ def cmd_selftest(args) -> int:
 # table.
 _COMMANDS = {
     "count": (
-        cmd_count,
+        _command("count"),
         "degree of the f^a + g^b locus",
         f"Refuses (exit 2) a count with (m+1)(n+1) above {MAX_COUNT_TERMS} terms, "
         "or with more digits than str() prints (sys.get_int_max_str_digits()).",
@@ -323,7 +144,7 @@ _COMMANDS = {
         ),
     ),
     "class": (
-        cmd_class,
+        _command("class_"),
         "pushed-forward fundamental class for (m, n)",
         f"Refuses (exit 2) a class with (m+1)(n+1) above {MAX_CLASS_TERMS} terms.",
         (
@@ -333,7 +154,7 @@ _COMMANDS = {
         ),
     ),
     "transvect": (
-        cmd_transvect,
+        _command("transvect"),
         "first transvectant of two binary forms",
         "Refuses (exit 2) forms whose transvectant is over its work bound (tvcount.forms.MAX_TRANSVECT_WORK).",
         (
@@ -344,7 +165,7 @@ _COMMANDS = {
         ),
     ),
     "table": (
-        cmd_table,
+        _command("table"),
         "degrees for every admissible (d, a, b) with d <= N",
         "Rows cover a >= 2, b >= 2, a | d, b | d with gcd(d/a, d/b) in {1, 2}, "
         "deduplicated under (a, b) <-> (b, a) since the count is symmetric; "
@@ -356,7 +177,7 @@ _COMMANDS = {
             ("--csv", "csv", bool, False, False, f"emit CSV ({','.join(COLUMNS)},degree)"),
         ),
     ),
-    "selftest": (cmd_selftest, "recompute the known classical counts", None, ()),
+    "selftest": (_command("selftest"), "recompute the known classical counts", None, ()),
 }
 
 
@@ -479,7 +300,3 @@ def _run(argv: list[str]) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -1,0 +1,4 @@
+from . import entry
+
+if __name__ == "__main__":
+    entry()

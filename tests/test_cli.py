@@ -1,6 +1,7 @@
 """CLI integration tests: exit codes, JSON envelope stability, formats."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -16,6 +17,8 @@ import tvcount
 from tvcount import admissible_tuples, beta_pushforward, cli, counting, cycles, forms, integrate_chern_polynomial, validate
 from tvcount._frozen import DEFAULT_MAX_DIGITS
 from tvcount.cli import MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, SQUARES_WARNING, main
+from tvcount.cli import count as cli_count
+from tvcount.cli import table as cli_table
 from tvcount.cycles import gcd2_excess
 
 from .helpers import argparse_reference, brute_force_admissible, far_denominators, gamma_terms
@@ -388,7 +391,7 @@ def test_count_over_the_digit_limit_exits_2_before_computing(capsys, str_digits,
 @needs_str_digits_limit
 def test_count_at_the_default_digit_limit_is_computed(str_digits):
     str_digits(DEFAULT_MAX_DIGITS)
-    assert cli._too_long(validate(510, 1021, 1021, 510)) is None
+    assert cli_count._too_long(validate(510, 1021, 1021, 510)) is None
 
 
 @needs_str_digits_limit
@@ -657,7 +660,7 @@ def test_table_40_aligned_output_is_pinned(capsys, monkeypatch, pool_map_calls):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_40_ALIGNED_SHA256
     # the pooled rows pad to the same widths
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli_table, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("TVCOUNT_THREADS", "2")
     assert run_cli(capsys, "table", "--max-d", "40") == (0, out, "")
     assert len(pool_map_calls) == 1
@@ -709,7 +712,7 @@ def pool_map_calls(monkeypatch):
 def test_table_pool_chunks_rows_and_keeps_output(capsys, monkeypatch, pool_map_calls, max_d, threads, rows, chunksize):
     monkeypatch.delenv("TVCOUNT_THREADS", raising=False)
     # enough CPUs that TVCOUNT_THREADS sets the worker count
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(cli_table, "_usable_cpus", lambda: 8)
     code, serial_out, _ = run_cli(capsys, "table", "--max-d", max_d, "--csv")
     assert code == 0
     assert len(serial_out.splitlines()) == rows + 1
@@ -749,7 +752,7 @@ def test_table_pool_has_at_most_one_worker_per_cpu(capsys, monkeypatch, max_d, c
             return map(fn, *iterables)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli_table, "_usable_cpus", lambda: cpus)
     monkeypatch.setenv("TVCOUNT_THREADS", "100000")
     code, out, _ = run_cli(capsys, "table", "--max-d", max_d, "--csv")
     assert (code, sizes) == (0, [workers])
@@ -763,7 +766,7 @@ def test_table_runs_serially_when_no_pool_starts(capsys, monkeypatch):
             raise OSError("no semaphores")
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(cli_table, "_usable_cpus", lambda: 8)
     monkeypatch.delenv("TVCOUNT_THREADS", raising=False)
     code, serial_out, _ = run_cli(capsys, "table", "--max-d", "40", "--csv")
     assert code == 0
@@ -776,7 +779,7 @@ def test_table_runs_serially_when_no_pool_starts(capsys, monkeypatch):
 def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch, count, cpus):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
-    assert cli._usable_cpus() == cpus
+    assert cli_table._usable_cpus() == cpus
 
 
 # -- selftest ----------------------------------------------------------------------------
@@ -944,12 +947,21 @@ def test_closed_stderr_keeps_the_internal_failure_exit_3(unbuffered):
 
 ENGINE = ("tvcount.counting", "tvcount.cycles", "tvcount.ring", "tvcount.forms")
 CHOW_RING = ["tvcount.counting", "tvcount.cycles", "tvcount.ring"]
+# each command's code, a module that tvcount.cli imports only when argv names
+# the command
+COMMAND_MODULES = {
+    "count": "tvcount.cli.count",
+    "class": "tvcount.cli.class_",
+    "transvect": "tvcount.cli.transvect",
+    "table": "tvcount.cli.table",
+    "selftest": "tvcount.cli.selftest",
+}
 
 
 def test_cli_import_loads_no_heavy_modules():
     # what a count process pays for before it starts: none of these, unless
     # interpreter start-up (site) had loaded them already
-    heavy = ("dataclasses", "inspect", "fractions", "decimal", "json", "traceback", "textwrap", "argparse", *ENGINE)
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "json", "traceback", "textwrap", "argparse", *ENGINE, *COMMAND_MODULES.values())
     code = (
         "import sys; before = set(sys.modules); import tvcount.cli; "
         f"print([m for m in {heavy!r} if m in set(sys.modules) - before])"
@@ -977,12 +989,54 @@ def test_cli_import_loads_no_heavy_modules():
 def test_each_command_loads_only_the_engine_it_runs(argv, loaded):
     code = (
         "import sys; from tvcount.cli import main; "
-        f"main({argv.split()!r}); print([m for m in {ENGINE!r} if m in sys.modules])"
+        f"main({argv.split()!r}); print([m for m in {ENGINE!r} if m in sys.modules]); "
+        "print(sorted(m for m in sys.modules if m.startswith('tvcount.cli.')))"
     )
     env = {k: v for k, v in os.environ.items() if k != "TVCOUNT_THREADS"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": PACKAGE_ROOT})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == repr(loaded)
+    engines, commands = proc.stdout.splitlines()[-2:]
+    assert engines == repr(loaded)
+    # and of the command modules, only its own
+    assert commands == repr([COMMAND_MODULES[argv.split()[0]]])
+
+
+def test_module_run_executes_each_tvcount_module_once():
+    # bench/shim.py runs every timed process so; a command module that
+    # imported the CLI from a flat cli.py, which runpy runs as __main__, would
+    # execute the CLI a second time.  The "exec" audit event fires once for
+    # each module body, imported or run
+    code = (
+        "import collections, json, runpy, sys\n"
+        "runs = collections.Counter()\n"
+        "sys.addaudithook(lambda event, args: event == 'exec' and runs.update([getattr(args[0], 'co_filename', '')]))\n"
+        "sys.argv = ['tvcount', 'count', '--m', '2', '--n', '3', '--a', '3', '--b', '2']\n"
+        "try:\n"
+        "    runpy.run_module('tvcount.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)\n"
+        "print(json.dumps(runs))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out, exit_code, runs = proc.stdout.splitlines()
+    assert (out, exit_code) == ("40", "0")
+    package = Path(PACKAGE_ROOT) / "tvcount"
+    runs = {Path(name).relative_to(package).as_posix(): n for name, n in json.loads(runs).items() if Path(name).is_relative_to(package)}
+    modules = ["__init__.py", "_frozen.py", "counting.py", "cycles.py", "ring.py", "cli/__init__.py", "cli/__main__.py", "cli/count.py"]
+    assert runs == dict.fromkeys(modules, 1)
+
+
+def test_no_cli_module_holds_an_engine_function_by_name():
+    # bench/tracer.py wraps an engine function under each name the modules it
+    # lists hold it by, and it lists tvcount.cli but no command module: each
+    # must read the function from its engine module when the command runs
+    engine = [getattr(tvcount, module) for module in tvcount._NAMES]
+    functions = [getattr(module, name) for module in engine for name in module.__all__]
+    for name in ("tvcount.cli", *COMMAND_MODULES.values()):
+        held = [key for key, value in vars(importlib.import_module(name)).items() if any(value is f for f in functions)]
+        assert held == [], f"{name} holds {held}"
 
 
 # -- reading argv ------------------------------------------------------------------
@@ -1211,18 +1265,18 @@ def test_reader_agrees_with_argparse():
 
 
 @pytest.mark.parametrize(
-    "argv, imports_argparse",
+    "argv",
     [
-        (["count", "--m", "2", "--n", "3", "--a", "3", "--b", "2"], False),
-        (["class", "--m", "2", "--n", "3", "--format", "latex"], False),
-        (["transvect", "--f", "-1,2", "--g", "1,1"], False),
-        (["table", "--max-d", "6"], False),
-        (["selftest"], False),
-        (["--help"], False),
-        (["count", "--a", "3"], False),
+        ["count", "--m", "2", "--n", "3", "--a", "3", "--b", "2"],
+        ["class", "--m", "2", "--n", "3", "--format", "latex"],
+        ["transvect", "--f", "-1,2", "--g", "1,1"],
+        ["table", "--max-d", "6"],
+        ["selftest"],
+        ["--help"],
+        ["count", "--a", "3"],
     ],
 )
-def test_well_formed_commands_do_not_import_argparse(argv, imports_argparse):
+def test_main_imports_no_argparse(argv):
     heavy = ("argparse", "gettext", "locale", "__future__")
     code = (
         "import sys; before = set(sys.modules); from tvcount.cli import main; "
@@ -1230,7 +1284,4 @@ def test_well_formed_commands_do_not_import_argparse(argv, imports_argparse):
     )
     env = {k: v for k, v in os.environ.items() if k != "TVCOUNT_THREADS"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": PACKAGE_ROOT})
-    loaded = proc.stdout.splitlines()[-1]
-    assert ("argparse" in loaded) == imports_argparse, loaded
-    if not imports_argparse:
-        assert loaded == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
