@@ -12,8 +12,6 @@ access (PEP 562).  So a process compiles only the engine it runs, and a count
 never imports ``fractions``.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # each module's public names, as its __all__ lists them
@@ -39,12 +37,13 @@ def __getattr__(name: str):
     # nothing is cached: each lookup reads the name from its module, so a
     # name replaced there (a wrapper, a test's patch) is what the package
     # gives.  The import system makes a loaded submodule a package global,
-    # so a lookup imports nothing once its module is loaded
+    # so a lookup imports nothing once its module is loaded.  __import__, not
+    # importlib: python -X importtime lists what it loads
     module = _HOME.get(name)
     if module is not None:
-        return getattr(globals().get(module) or importlib.import_module(f"{__name__}.{module}"), name)
+        return getattr(globals().get(module) or __import__(f"{__name__}.{module}", fromlist=["*"]), name)
     if name in _NAMES:
-        return importlib.import_module(f"{__name__}.{name}")
+        return __import__(f"{__name__}.{name}", fromlist=["*"])
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

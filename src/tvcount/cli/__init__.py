@@ -13,14 +13,15 @@ main() reads every argv, help and usage errors included, from one option
 table, _COMMANDS.  This module holds what every process runs: the table, the
 reader, help, and the helpers that print.  Each command loads only its own
 module and the engine it runs: a command's code is a module of this package
-(count, class_, transvect, table, selftest), imported only when argv names
-the command, and json, traceback, textwrap, the engines and the pool are
-imported only inside the functions that use them.  So transvect loads only
-forms, class only cycles and ring, and count no engine when it refuses its
-input before validation (validation is PowerSumProblem's, in cycles).
+(count, class_, transvect, table, selftest), which the table names and main()
+imports, to call its run(args), only when argv names the command; json,
+traceback, textwrap, the engines and the pool are imported only inside the
+functions that use them.  So transvect loads only forms, class only cycles
+and ring, and count no engine when it refuses its input before validation
+(validation is PowerSumProblem's, in cycles).  python -X importtime -m
+tvcount.cli ... lists every module a command loads.
 """
 
-import importlib
 import os
 import sys
 import types
@@ -113,24 +114,14 @@ MAX_CLASS_TERMS = 100_000
 MAX_TABLE_D = 1000
 
 
-def _command(module: str):
-    """The function of the command whose code is the submodule ``module``:
-    it imports that module, and calls its run(args), only when it is called."""
-
-    def command(args) -> int:
-        return importlib.import_module(f"{__name__}.{module}").run(args)
-
-    return command
-
-
-# each command's function, help, description and options; an option is
-# (flag, dest, kind, required, default, help), where kind is int, str, a
-# tuple of choices, or bool for a flag that takes no value; a required
-# option's default is None.  _read_argv(), _usage() and cmd_help() read this
-# table.
+# each command's module (the submodule of this package whose run(args) runs
+# it), help, description and options; an option is (flag, dest, kind,
+# required, default, help), where kind is int, str, a tuple of choices, or
+# bool for a flag that takes no value; a required option's default is None.
+# _read_argv(), _usage(), cmd_help() and _run() read this table.
 _COMMANDS = {
     "count": (
-        _command("count"),
+        "count",
         "degree of the f^a + g^b locus",
         f"Refuses (exit 2) a count with (m+1)(n+1) above {MAX_COUNT_TERMS} terms, "
         "or with more digits than str() prints (sys.get_int_max_str_digits()).",
@@ -144,7 +135,7 @@ _COMMANDS = {
         ),
     ),
     "class": (
-        _command("class_"),
+        "class_",
         "pushed-forward fundamental class for (m, n)",
         f"Refuses (exit 2) a class with (m+1)(n+1) above {MAX_CLASS_TERMS} terms.",
         (
@@ -154,7 +145,7 @@ _COMMANDS = {
         ),
     ),
     "transvect": (
-        _command("transvect"),
+        "transvect",
         "first transvectant of two binary forms",
         "Refuses (exit 2) forms whose transvectant is over its work bound (tvcount.forms.MAX_TRANSVECT_WORK).",
         (
@@ -165,7 +156,7 @@ _COMMANDS = {
         ),
     ),
     "table": (
-        _command("table"),
+        "table",
         "degrees for every admissible (d, a, b) with d <= N",
         "Rows cover a >= 2, b >= 2, a | d, b | d with gcd(d/a, d/b) in {1, 2}, "
         "deduplicated under (a, b) <-> (b, a) since the count is symmetric; "
@@ -177,7 +168,7 @@ _COMMANDS = {
             ("--csv", "csv", bool, False, False, f"emit CSV ({','.join(COLUMNS)},degree)"),
         ),
     ),
-    "selftest": (_command("selftest"), "recompute the known classical counts", None, ()),
+    "selftest": ("selftest", "recompute the known classical counts", None, ()),
 }
 
 
@@ -220,25 +211,25 @@ def cmd_help(args) -> int:
 
 
 def _read_argv(argv: list[str]) -> types.SimpleNamespace:
-    """The namespace of the command argv names, or of cmd_help for -h or
-    --help read before any error.  An option's value is its "=value" or the
-    next token, unless that token starts with "--": "--f -1,2" and "--a -3"
-    are values.  A repeated option keeps its last value.  Raises _UsageError
-    for anything else: no command or an unknown one, an unknown or
-    abbreviated option or a stray token, a flag given "=value", a missing or
-    bad value, or a missing required option."""
+    """The command argv names, with help true for -h or --help read before
+    any error, else with help false and its options' values.  An option's
+    value is its "=value" or the next token, unless that token starts with
+    "--": "--f -1,2" and "--a -3" are values.  A repeated option keeps its
+    last value.  Raises _UsageError for anything else: no command or an
+    unknown one, an unknown or abbreviated option or a stray token, a flag
+    given "=value", a missing or bad value, or a missing required option."""
     command = argv[0] if argv else None
     if command in ("-h", "--help"):
-        return types.SimpleNamespace(command=None, func=cmd_help)
+        return types.SimpleNamespace(command=None, help=True)
     if command not in _COMMANDS:
         raise _UsageError(None, f"the first argument must be a command: {', '.join(_COMMANDS)}")
-    func, _, _, options = _COMMANDS[command]
+    options = _COMMANDS[command][3]
     by_flag = {option[0]: option for option in options}
     values = {dest: default for _, dest, _, _, default, _ in options}
     tokens = iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
-            return types.SimpleNamespace(command=command, func=cmd_help)
+            return types.SimpleNamespace(command=command, help=True)
         flag, eq, value = token.partition("=")
         if flag not in by_flag:
             raise _UsageError(command, f"unrecognized arguments: {token}")
@@ -262,7 +253,7 @@ def _read_argv(argv: list[str]) -> types.SimpleNamespace:
         values[dest] = value
     if missing := [flag for flag, dest, _, required, _, _ in options if required and values[dest] is None]:
         raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
-    return types.SimpleNamespace(command=command, func=func, **values)
+    return types.SimpleNamespace(command=command, help=False, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -295,8 +286,8 @@ def _run(argv: list[str]) -> int:
         prog = f"tvcount {command}" if command else "tvcount"
         _stderr(f"{_usage(command)}\n{prog}: error: {message}")
         return EXIT_USAGE
-    return args.func(args)
+    if args.help:
+        return cmd_help(args)
+    # __import__, not importlib: python -X importtime lists what it loads
+    return __import__(f"{__name__}.{_COMMANDS[args.command][0]}", fromlist=["run"]).run(args)
 
-
-def entry() -> None:
-    sys.exit(main())

@@ -1,4 +1,4 @@
-from . import entry
+from . import main
 
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

@@ -55,9 +55,10 @@ def integrate_chern_polynomial(
     deg = m + n
     coeffs = [0] * max(deg // 2 + 1, 3)
     for raw in terms:
-        c, e1, e2 = term = [integral(v) for v in raw]
-        if None in term:
+        term = [integral(v) for v in raw]
+        if len(term) != 3 or None in term:
             raise ValueError(f"Chern polynomial terms must be integers: term (coeff, e1, e2) = {tuple(raw)!r}")
+        c, e1, e2 = term
         if e1 < 0 or e2 < 0 or e1 + 2 * e2 != deg:
             raise ValueError(
                 f"Chern polynomial must have degree m+n = {deg}: term (coeff={c}, e1={e1}, e2={e2})"

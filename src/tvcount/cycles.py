@@ -101,7 +101,7 @@ def beta_pushforward(m: int, n: int) -> TruncatedPolynomial:
     factor 2^(m-2) was chosen because it reproduces 3762 (classical) and
     626327 (the paper's own value); no test checks it against the geometry,
     and an independent local computation of the multiplicity at a base
-    point gives 9 at (m, n) = (4, 10), where 2^(m-2) is 4 (ROADMAP.md).
+    point gives 9 at (m, n) = (4, 10), where 2^(m-2) is 4 (ROADMAP item 7).
     """
     spec = ambient_spec(m, n)
     m, n, top = spec.caps

@@ -280,12 +280,12 @@ def argparse_reference():
 
     parser = Parser(prog="tvcount", add_help=False, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
-    for command, (func, _, _, options) in _COMMANDS.items():
+    for command, (_, _, _, options) in _COMMANDS.items():
         p = sub.add_parser(command, add_help=False, allow_abbrev=False)
         for flag, dest, kind, required, default, _ in options:
             how = {bool: {"action": "store_true"}, int: {"type": int}, str: {}}.get(kind, {"choices": kind})
             p.add_argument(flag, dest=dest, required=required, default=default, **how)
-        p.set_defaults(func=func)
+        p.set_defaults(help=False)
 
     def parse(argv: list[str]):
         options = _COMMANDS[argv[0]][3] if argv and argv[0] in _COMMANDS else ()

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -984,21 +985,39 @@ def test_cli_import_loads_no_heavy_modules():
         ("count --m 3 --n 6 --a 2 --b 1", CHOW_RING),
         ("table --max-d 6", CHOW_RING),
         ("selftest", CHOW_RING),
+        # refused over its term budget, before cycles is imported
+        ("class --m 1 --n 100000", []),
     ],
 )
 def test_each_command_loads_only_the_engine_it_runs(argv, loaded):
     code = (
         "import sys; from tvcount.cli import main; "
         f"main({argv.split()!r}); print([m for m in {ENGINE!r} if m in sys.modules]); "
-        "print(sorted(m for m in sys.modules if m.startswith('tvcount.cli.')))"
+        "print(sorted(m for m in sys.modules if m.startswith('tvcount.cli.'))); "
+        "print(*sorted(m for m in sys.modules if m.startswith('tvcount')))"
     )
     env = {k: v for k, v in os.environ.items() if k != "TVCOUNT_THREADS"}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": PACKAGE_ROOT})
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": PACKAGE_ROOT}
+    )
     assert proc.returncode == 0, proc.stderr
-    engines, commands = proc.stdout.splitlines()[-2:]
+    engines, commands, tvcount_modules = proc.stdout.splitlines()[-3:]
     assert engines == repr(loaded)
     # and of the command modules, only its own
     assert commands == repr([COMMAND_MODULES[argv.split()[0]]])
+    # and python -X importtime lists every one of them: a module loaded
+    # through importlib.import_module would be missing
+    timed = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert set(tvcount_modules.split()) <= timed
+
+
+# an argv, what it prints, and the tvcount modules it runs beside the
+# package, tvcount.cli and its __main__
+MODULE_RUNS = (
+    ("count --m 2 --n 3 --a 3 --b 2", "40", ["_frozen.py", "counting.py", "cycles.py", "ring.py", "cli/count.py"]),
+    ("transvect --f -1,2 --g 1,1", "-3", ["_frozen.py", "forms.py", "cli/transvect.py"]),
+    ("class --m 1 --n 1", "1", ["_frozen.py", "cycles.py", "ring.py", "cli/class_.py"]),
+)
 
 
 def test_module_run_executes_each_tvcount_module_once():
@@ -1006,26 +1025,26 @@ def test_module_run_executes_each_tvcount_module_once():
     # imported the CLI from a flat cli.py, which runpy runs as __main__, would
     # execute the CLI a second time.  The "exec" audit event fires once for
     # each module body, imported or run
-    code = (
-        "import collections, json, runpy, sys\n"
-        "runs = collections.Counter()\n"
-        "sys.addaudithook(lambda event, args: event == 'exec' and runs.update([getattr(args[0], 'co_filename', '')]))\n"
-        "sys.argv = ['tvcount', 'count', '--m', '2', '--n', '3', '--a', '3', '--b', '2']\n"
-        "try:\n"
-        "    runpy.run_module('tvcount.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code)\n"
-        "print(json.dumps(runs))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    out, exit_code, runs = proc.stdout.splitlines()
-    assert (out, exit_code) == ("40", "0")
     package = Path(PACKAGE_ROOT) / "tvcount"
-    runs = {Path(name).relative_to(package).as_posix(): n for name, n in json.loads(runs).items() if Path(name).is_relative_to(package)}
-    modules = ["__init__.py", "_frozen.py", "counting.py", "cycles.py", "ring.py", "cli/__init__.py", "cli/__main__.py", "cli/count.py"]
-    assert runs == dict.fromkeys(modules, 1)
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    for argv, out, modules in MODULE_RUNS:
+        code = (
+            "import collections, json, runpy, sys\n"
+            "runs = collections.Counter()\n"
+            "sys.addaudithook(lambda event, args: event == 'exec' and runs.update([getattr(args[0], 'co_filename', '')]))\n"
+            f"sys.argv = {['tvcount', *argv.split()]!r}\n"
+            "try:\n"
+            "    runpy.run_module('tvcount.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n"
+            "print(json.dumps(runs))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        printed, exit_code, runs = proc.stdout.splitlines()
+        assert (printed, exit_code) == (out, "0"), argv
+        runs = {Path(name).relative_to(package).as_posix(): n for name, n in json.loads(runs).items() if Path(name).is_relative_to(package)}
+        assert runs == dict.fromkeys(["__init__.py", "cli/__init__.py", "cli/__main__.py", *modules], 1), argv
 
 
 def test_no_cli_module_holds_an_engine_function_by_name():
@@ -1037,6 +1056,28 @@ def test_no_cli_module_holds_an_engine_function_by_name():
     for name in ("tvcount.cli", *COMMAND_MODULES.values()):
         held = [key for key, value in vars(importlib.import_module(name)).items() if any(value is f for f in functions)]
         assert held == [], f"{name} holds {held}"
+
+
+def test_each_command_names_the_module_that_runs_it():
+    # the option table holds no function: each entry names the submodule of
+    # tvcount.cli whose run(args) runs the command.  A fresh process, so that
+    # nothing this test session loaded or patched is seen
+    code = (
+        "import importlib, tvcount.cli as cli\n"
+        "for command, entry in cli._COMMANDS.items():\n"
+        "    module = importlib.import_module(f'tvcount.cli.{entry[0]}')\n"
+        "    print(command, module.__name__, any(map(callable, entry)), callable(getattr(module, 'run', None)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{command} {module} False True" for command, module in COMMAND_MODULES.items()]
+
+
+def test_console_script_is_main():
+    # the script exits with main()'s code, as python -m tvcount.cli does;
+    # read with a regex, since Python 3.10 has no tomllib
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r"^tvcount\s*=\s*\"(.*)\"", pyproject, re.M) == ["tvcount.cli:main"]
 
 
 # -- reading argv ------------------------------------------------------------------
@@ -1237,7 +1278,7 @@ def read_argv(argv):
         args = cli._read_argv(argv)
     except cli._UsageError:
         return None
-    return None if args.func is cli.cmd_help else args
+    return None if args.help else args
 
 
 def test_reader_agrees_with_argparse():

@@ -213,7 +213,7 @@ def test_chern_polynomial_of_gamma_is_the_count():
 
 def test_chern_polynomial_rejects_non_integers():
     problem = validate(2, 3, 3, 2)
-    for bad in ((2.5, 5, 0), (1, 5.9, 0), (True, 5, 0), ("3", 5, 0), (1, 3, None)):
+    for bad in ((2.5, 5, 0), (1, 5.9, 0), (True, 5, 0), ("3", 5, 0), (1, 3, None), (1, 5), (1, 5, 0, 0)):
         with pytest.raises(ValueError, match="must be integers: term"):
             integrate_chern_polynomial(problem, [bad])
     assert integrate_chern_polynomial(problem, [(3.0, 5.0, 0)]) == integrate_chern_polynomial(problem, [(3, 5, 0)])
