@@ -43,41 +43,51 @@ def integrate_chern_polynomial(
     tautological Chern classes against the pushed-forward class.
 
     ``terms`` lists integer (coeff, e1, e2) monomials coeff * s1^e1 * s2^e2
-    with e1 + 2*e2 == m + n.  Closed form (N = m+n, c_k the coefficient at
-    s2^k): at z3 = z1 + z2 the Chern roots are -a*z1 and -b*z2, so pairing
-    s1^(N-2k) s2^k with beta gives (-1)^N C(N-2k, m-k) a^m b^n, less the
-    three monomials whose z3 exponent passes the cap N-2 and, for gcd 2, the
-    three at the excess class.  Their uncapped coefficients L_ij at
-    z1^i z2^j z3^(N-i-j) are the degree-2 part of s1 = -1 + (1-a)z1 + (1-b)z2,
-    s2 = a*z1*(1 - z1 - (1-b)z2) at z3 = 1, which only c_0, c_1, c_2 reach.
+    with e1 + 2*e2 == m + n.  At z3 = z1 + z2 the Chern roots are -a*z1 and
+    -b*z2, so s1^(N-2k) s2^k pairs with beta as (-1)^N C(N-2k, m-k) a^m b^n,
+    less _pair_with_beta's cap and excess (N = m+n).
     """
     m, n, a, b = problem.m, problem.n, problem.a, problem.b
     deg = m + n
     coeffs = [0] * max(deg // 2 + 1, 3)
     for raw in terms:
-        term = [integral(v) for v in raw]
+        try:
+            term = [integral(v) for v in raw]
+        except TypeError:  # raw is not iterable
+            term = []
         if len(term) != 3 or None in term:
-            raise ValueError(f"Chern polynomial terms must be integers: term (coeff, e1, e2) = {tuple(raw)!r}")
+            raise ValueError(f"Chern polynomial terms must be integers: term (coeff, e1, e2) = {raw!r}")
         c, e1, e2 = term
         if e1 < 0 or e2 < 0 or e1 + 2 * e2 != deg:
-            raise ValueError(
-                f"Chern polynomial must have degree m+n = {deg}: term (coeff={c}, e1={e1}, e2={e2})"
-            )
+            raise ValueError(f"Chern polynomial must have degree m+n = {deg}: term (coeff={c}, e1={e1}, e2={e2})")
         coeffs[e2] += c
     # a term with k > m pairs with nothing, and C(N-2k, m-k) would raise
-    total = a**m * b**n * sum(math.comb(deg - 2 * k, m - k) * c for k, c in enumerate(coeffs[: m + 1]))
+    main = a**m * b**n * sum(math.comb(deg - 2 * k, m - k) * c for k, c in enumerate(coeffs[: m + 1]))
+    return sum(_pair_with_beta(problem, main, *coeffs[:3]))
+
+
+def _pair_with_beta(problem: PowerSumProblem, main: int, c0: int, c1: int, c2: int) -> tuple[int, int, int]:
+    """The pairing with beta of a degree-(m+n) class in s1, s2 as (main
+    term, cap, gcd-2 excess), each signed and summing to the integral; the
+    excess is 0 at gcd 1.  ``main`` is a^m b^n sum_k C(N-2k, m-k) c_k.  The
+    cap takes the three monomials whose z3 exponent passes N-2, the excess
+    at gcd 2 the three at the excess class.  Their uncapped coefficients
+    L_ij at z1^i z2^j z3^(N-i-j) are the degree-2 part of s1 = -1 + (1-a)z1
+    + (1-b)z2, s2 = a*z1*(1 - z1 - (1-b)z2) at z3 = 1: only c0, c1, c2 reach it.
+    """
+    m, n, a, b = problem.m, problem.n, problem.a, problem.b
     # the uncapped L_ij, with the common sign (-1)^N taken out
-    c0, c1, c2 = coeffs[:3]
-    p, q = 1 - a, 1 - b
+    deg, p, q = m + n, 1 - a, 1 - b
     l10, l01 = a * c1 - deg * p * c0, -deg * q * c0
-    total -= math.comb(deg, m) * c0 + math.comb(deg - 1, m - 1) * l10 + math.comb(deg - 1, m) * l01
+    cap = math.comb(deg, m) * c0 + math.comb(deg - 1, m - 1) * l10 + math.comb(deg - 1, m) * l01
+    excess = 0
     if problem.gcd == 2:
         l20 = math.comb(deg, 2) * p * p * c0 - a * (1 + (deg - 2) * p) * c1 + a * a * c2
         l11 = (deg - 1) * q * (deg * p * c0 - a * c1)
         l02 = math.comb(deg, 2) * q * q * c0
         e20, e11, e02 = gcd2_excess(m, n)
-        total -= e20 * l20 + e11 * l11 + e02 * l02
-    return -total if deg % 2 else total
+        excess = e20 * l20 + e11 * l11 + e02 * l02
+    return (-main, cap, excess) if deg % 2 else (main, -cap, -excess)
 
 
 class WeightPair(Frozen):

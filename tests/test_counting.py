@@ -22,6 +22,7 @@ from .helpers import (
     all_admissible,
     brute_force_admissible,
     closed_formula_count,
+    count_parts,
     gamma_terms,
     horner_chern_integral,
     ring_route_count,
@@ -119,11 +120,16 @@ CLOSED_FORMULA_EDGES = ((1, 5, 5, 1), (2, 6, 3, 1), (1, 2, 4, 2), (2, 2, 3, 3), 
 
 
 def test_degree_matches_closed_formula():
-    # the formula shares with the kernel only gcd2_excess's constants
+    # the formula shares with the kernel only gcd2_excess's constants; the
+    # pairing evaluator's parts sum to it, with no excess at gcd 1
     problems = admissible_tuples(150)
     assert len(problems) == 1310
     for problem in [*problems, *(validate(*t) for t in CLOSED_FORMULA_EDGES)]:
-        assert degree_of_power_sum_locus(problem) == closed_formula_count(problem), problem
+        count = closed_formula_count(problem)
+        assert degree_of_power_sum_locus(problem) == count, problem
+        main, cap, excess = count_parts(problem)
+        assert main + cap + excess == count and (problem.gcd == 2 or excess == 0), problem
+    assert count_parts(validate(4, 6, 3, 2)) == (5184, -882, -540)
 
 
 def test_degree_nonnegative_small():
@@ -146,15 +152,21 @@ def differences(values: list[int], order: int) -> list[int]:
 # a family fixes (m, n) and scales (a, b) = t * (n, m) / gcd(m, n); a family's
 # count as a polynomial in t, summed from (power of t, coefficient)
 FAMILY_POLYNOMIALS = {
+    (1, 1): ((2, 1), (1, -3), (0, 2)),
+    (1, 2): ((3, 2), (1, -8), (0, 6)),
+    (2, 2): ((4, 1), (2, -10), (1, 15), (0, -6)),
     (2, 3): ((5, 72), (1, -72), (0, 40)),
     (4, 6): ((10, 5184), (2, -7920), (1, 9108), (0, -2610)),
     (4, 10): ((14, 640000), (2, -42000), (1, 33150), (0, -4823)),
+    (6, 8): ((14, 26873856), (2, -241920), (1, 184860), (0, -32305)),
 }
 
 
 def test_count_along_a_family_is_its_leading_power_plus_a_low_polynomial():
     # count - a^m b^n is linear in t at gcd 1 and quadratic at gcd 2: a check
-    # that shares no constant with the closed formula or the excess correction
+    # that shares no constant with the closed formula or the excess correction.
+    # At gcd 1 the closed formula makes that line -n(N+1)C(N-1,m-1) t +
+    # (N-1)C(N,m), N = m+n
     families = {1: 0, 2: 0}
     for m in range(1, 9):
         for n in range(m, 17):
@@ -167,6 +179,8 @@ def test_count_along_a_family_is_its_leading_power_plus_a_low_polynomial():
                 a, b = t * n // g, t * m // g
                 counts.append(degree_of_power_sum_locus(validate(m, n, a, b)))
                 rest.append(counts[-1] - a**m * b**n)
+                if g == 1:
+                    assert rest[-1] == (m + n - 1) * math.comb(m + n, m) - n * (m + n + 1) * math.comb(m + n - 1, m - 1) * t, (m, n, t)
             assert differences(rest, g + 1) == [0] * (6 - g), (m, n)
             if (m, n) in FAMILY_POLYNOMIALS:
                 expected = [sum(c * t**k for k, c in FAMILY_POLYNOMIALS[m, n]) for t in range(1, 8)]
@@ -213,7 +227,7 @@ def test_chern_polynomial_of_gamma_is_the_count():
 
 def test_chern_polynomial_rejects_non_integers():
     problem = validate(2, 3, 3, 2)
-    for bad in ((2.5, 5, 0), (1, 5.9, 0), (True, 5, 0), ("3", 5, 0), (1, 3, None), (1, 5), (1, 5, 0, 0)):
+    for bad in ((2.5, 5, 0), (1, 5.9, 0), (True, 5, 0), ("3", 5, 0), (1, 3, None), (1, 5), (1, 5, 0, 0), 5, None):
         with pytest.raises(ValueError, match="must be integers: term"):
             integrate_chern_polynomial(problem, [bad])
     assert integrate_chern_polynomial(problem, [(3.0, 5.0, 0)]) == integrate_chern_polynomial(problem, [(3, 5, 0)])
