@@ -14,7 +14,7 @@ never imports ``fractions``.
 
 __version__ = "0.1.0"
 
-# each module's public names, as its __all__ lists them
+# each module's public names: its __all__ is list(_NAMES[module])
 _NAMES = {
     "counting": (
         "WeightPair",

@@ -3,9 +3,9 @@
 Subcommands: count, class, transvect, table, selftest.
 Exit codes: 0 success, 1 usage error or stdout's reader gone, 2 invalid
 problem, a count, class, table or transvect over its budget or a result too
-long to print, 3 self-test mismatch or internal failure.  When stderr's
-reader has gone, warnings and errors are dropped, and neither stdout nor the
-exit code changes.
+long to print, 3 self-test mismatch or internal failure.  A closed, full or
+unwritable stderr drops warnings and errors, and changes neither stdout nor
+the exit code; a closed stdout exits 1 with nothing on stderr.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
@@ -62,18 +62,20 @@ def _print_envelope(command: str, inputs: dict, result, warnings: list[str]) -> 
 
 
 def _stderr(line: str) -> None:
-    """Print line to stderr.  When stderr's reader has gone, the line and
-    every later one are dropped: fd 2 goes to devnull, so stdout and the exit
-    code stay what they would have been."""
+    """Print line to stderr.  When stderr is closed or a write to it fails,
+    the line and every later one are dropped (fd 2 goes to devnull), so
+    stdout and the exit code stay what they would have been."""
+    if sys.stderr is None:  # fd 2 closed at start: print would use stdout
+        return
     try:
         print(line, file=sys.stderr)
-    except BrokenPipeError:
+    except OSError:
         _to_devnull(sys.stderr)
 
 
 def _to_devnull(stream) -> None:
-    """Point stream's fd at devnull, once its reader has gone, so that what
-    it still buffers goes there and the flush at exit does not fail again."""
+    """Point stream's fd at devnull, once a write to it has failed, so that
+    what it still buffers goes there and the flush at exit cannot fail."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, stream.fileno())
     os.close(devnull)
@@ -258,6 +260,8 @@ def _read_argv(argv: list[str]) -> types.SimpleNamespace:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    if sys.stdout is None:  # fd 1 closed at start: nothing can be printed
+        return EXIT_USAGE
     try:
         code = _run(argv)
         # a write that fails fails here, not in the interpreter's flush at exit

@@ -15,7 +15,7 @@ def run(args) -> int:
     try:
         f = build(m, [part.strip() for part in args.f.split(",")])
         g = build(n, [part.strip() for part in args.g.split(",")])
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return _fail(f"malformed coefficient list: {exc}", EXIT_USAGE)
     try:
         t = forms.transvectant(f, g)

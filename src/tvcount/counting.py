@@ -4,17 +4,11 @@ integration, and fixed-point weight bookkeeping."""
 import math
 from collections.abc import Iterable
 
+from . import _NAMES
 from ._frozen import Frozen, integer, integral
 from .cycles import PowerSumProblem, beta_pushforward, gamma_class, gcd2_excess
 
-__all__ = [
-    "WeightPair",
-    "admissible_tuples",
-    "degree_of_power_sum_locus",
-    "fixed_point_weights",
-    "integrate_chern_polynomial",
-    "validate",
-]
+__all__ = list(_NAMES["counting"])
 
 
 def validate(m: int, n: int, a: int, b: int) -> PowerSumProblem:

@@ -8,10 +8,11 @@ import math
 from functools import lru_cache
 from itertools import accumulate
 
+from . import _NAMES
 from ._frozen import Frozen, integer
 from .ring import RingSpec, TruncatedPolynomial, geometric_inverse  # unused here; callers import it from cycles
 
-__all__ = ["PowerSumProblem", "alpha_classes", "ambient_spec", "beta_pushforward", "blowup_class_S", "gamma_class"]
+__all__ = list(_NAMES["cycles"])
 
 
 class PowerSumProblem(Frozen):

@@ -10,22 +10,24 @@ The binomially weighted coordinates of classical invariant theory
 transvectant itself is always reported in the plain basis.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from math import comb, lcm
+from itertools import accumulate, count
+from math import lcm
 
+from . import _NAMES
 from ._frozen import Frozen, integer, max_digits, render_terms
 
-__all__ = ["BinaryForm", "mul_form", "pow_form", "transvectant", "transvectant_support"]
+__all__ = list(_NAMES["forms"])
 
 Rationalish = int | str | Fraction
 
 
 def _coefficient(value: Rationalish) -> Fraction:
     """``value`` as a Fraction: a Fraction as it is, anything else through
-    ``Fraction()``.  Text whose decimal exponent is longer than
-    ``max_digits()`` raises ValueError first: ``Fraction("1e10000000")``
-    would spend seconds building 10**10000000."""
+    ``Fraction()``, any error of which is raised as ValueError with its text.
+    Text whose decimal exponent is longer than ``max_digits()`` is refused
+    first: ``Fraction("1e10000000")`` would spend seconds building it."""
     if value.__class__ is Fraction:
         return value
     if isinstance(value, str):
@@ -37,7 +39,16 @@ def _coefficient(value: Rationalish) -> Fraction:
             huge = False  # not an exponent; Fraction reports the malformed text
         if huge:
             raise ValueError(f"decimal exponent of {value!r} exceeds {limit}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (TypeError, OverflowError, ZeroDivisionError) as exc:  # None, inf, "1/0"
+        raise ValueError(str(exc)) from None
+
+
+def _binomial_row(e: int) -> Iterator[int]:
+    """C(e, 0), C(e, 1), ..., each from the one before by one product and one
+    exact quotient, then 0 for every i > e."""
+    return accumulate(count(1), lambda c, i: c * (e - i + 1) // i, initial=1)
 
 
 class BinaryForm(Frozen):
@@ -61,11 +72,11 @@ class BinaryForm(Frozen):
     def from_binomial(cls, degree: int, values: Iterable[Rationalish]) -> "BinaryForm":
         """Build from binomially weighted coordinates: c_i = C(e, i) * f_i."""
         degree = integer("degree", degree)
-        return cls(degree, [comb(degree, i) * _coefficient(v) for i, v in enumerate(values)])
+        return cls(degree, [w * _coefficient(v) for w, v in zip(_binomial_row(degree), values)])
 
     def binomial_coefficients(self) -> tuple[Fraction, ...]:
         """The binomially weighted view f_i = c_i / C(e, i); exact and bijective."""
-        return tuple(c / comb(self.degree, i) for i, c in enumerate(self.coeffs))
+        return tuple(c / w for c, w in zip(self.coeffs, _binomial_row(self.degree)))
 
     @property
     def is_zero(self) -> bool:

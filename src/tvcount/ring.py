@@ -13,9 +13,10 @@ from collections.abc import Iterable, Iterator, Mapping
 from itertools import repeat
 from operator import le, mul, sub
 
+from . import _NAMES
 from ._frozen import Frozen, integer, integral, render_terms
 
-__all__ = ["RingSpec", "TruncatedPolynomial", "geometric_inverse"]
+__all__ = list(_NAMES["ring"])
 
 
 class RingSpec(Frozen):

@@ -286,8 +286,11 @@ def test_transvect_malformed_exit_1(capsys):
     code, _, err = run_cli(capsys, "transvect", "--f", "1,oops", "--g", "0,1")
     assert code == 1
     assert "malformed" in err
-    code, _, _ = run_cli(capsys, "transvect", "--f", "1/0", "--g", "0,1")
-    assert code == 1
+    code, _, err = run_cli(capsys, "transvect", "--f", "1/0", "--g", "0,1")
+    assert (code, err) == (1, "error: malformed coefficient list: Fraction(1, 0)\n")
+    # a coefficient is read without the spaces around it, and so is quoted
+    code, _, err = run_cli(capsys, "transvect", "--f", "1, oops ", "--g", "0,1")
+    assert (code, err) == (1, "error: malformed coefficient list: Invalid literal for Fraction: 'oops'\n")
 
 
 def timed_cli(capsys, *argv):
@@ -535,11 +538,14 @@ def test_transvect_of_long_numerators_exits_2_quickly(capsys):
 
 def test_transvect_binomial_with_long_binomial_numerators_exits_2(capsys):
     # 1000 ones in the binomial basis are C(999, i) in the plain one, up to
-    # 994 bits each, where 1000 plain ones are computed
-    ones = ",".join(["1"] * 1000)
-    code, out, err = run_cli(capsys, "transvect", "--f", ones, "--g", ones, "--binomial")
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and "(m,n)=(999,999) takes (m+1)(n+1)*1988 = " in err
+    # 994 bits each, where 1000 plain ones are computed; 8000 ones, weighed
+    # by C(7999, i), are refused within 1 s too
+    cases = [(1000, ",".join(["1"] * 1000), "(m,n)=(999,999) takes (m+1)(n+1)*1988 = ")]
+    cases += [(8000, "1,1", "(m,n)=(7999,1) takes (m+1)(n+1)*7994 = 127904000 ")]
+    for k, g, refusal in cases:
+        code, out, err, seconds = timed_cli(capsys, "transvect", "--f", ",".join(["1"] * k), "--g", g, "--binomial")
+        assert (code, out) == (2, "") and seconds < 1
+        assert err.count("\n") == 1 and refusal in err
 
 
 # the transvect items of bench/run.py's cli_items for seeds 1, 7919 and 3,
@@ -857,21 +863,22 @@ def cli_env(unbuffered: bool = False) -> dict:
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
-@pytest.mark.parametrize("argv", ["count --m 2 --n 3 --a 3 --b 2", "selftest", "table --max-d 40", "--help", "count --help"])
+@pytest.mark.parametrize(
+    "argv", ["count --m 2 --n 3 --a 3 --b 2", "selftest", "table --max-d 40", "--help", "count --help", "count --m 2 --n 3 --a 3 --b 2 >&-"]
+)
 def test_closed_stdout_exits_1_with_nothing_on_stderr(argv, unbuffered):
-    # stdout is a pipe whose read end is already closed
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "tvcount.cli", *argv.split()],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=cli_env(unbuffered),
-            timeout=60,
-        )
-    finally:
-        os.close(write_end)
+    # stdout is a pipe whose read end is already closed, or, with ">&-", fd 1
+    # is closed when the interpreter starts, so sys.stdout is None
+    command = [sys.executable, "-m", "tvcount.cli", *argv.removesuffix(" >&-").split()]
+    if argv.endswith(" >&-"):
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command], stderr=subprocess.PIPE, env=cli_env(unbuffered), timeout=60)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=cli_env(unbuffered), timeout=60)
+        finally:
+            os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
@@ -898,38 +905,55 @@ def test_reader_that_stops_after_one_line_exits_1_with_nothing_on_stderr():
 TABLE_4_CSV = b"d,a,b,m,n,gcd,degree\n2,2,2,1,1,1,0\n3,3,3,1,1,1,2\n4,2,2,2,2,2,0\n4,4,2,1,2,1,6\n4,4,4,1,1,1,6\n"
 
 
-def run_with_closed_stderr(args: list[str], env: dict) -> subprocess.CompletedProcess:
-    # stderr is a pipe whose read end is already closed
+def run_with_closed_stderr(args: list[str], env: dict, stderr: str = "pipe") -> subprocess.CompletedProcess:
+    # stderr is a pipe whose read end is already closed ("pipe"), /dev/full
+    # ("2>/dev/full", every write fails with ENOSPC), or no stream at all
+    # ("2>&-", fd 2 closed when the interpreter starts, so sys.stderr is None)
+    command = [sys.executable, *args]
+    if stderr == "2>&-":
+        return subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *command], stdout=subprocess.PIPE, env=env, timeout=60)
+    if stderr == "2>/dev/full":
+        with open("/dev/full", "wb") as full:
+            return subprocess.run(command, stdout=subprocess.PIPE, stderr=full, env=env, timeout=60)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        return subprocess.run([sys.executable, *args], stdout=subprocess.PIPE, stderr=write_end, env=env, timeout=60)
+        return subprocess.run(command, stdout=subprocess.PIPE, stderr=write_end, env=env, timeout=60)
     finally:
         os.close(write_end)
 
 
+CLOSED_STDERR_CASES = [
+    # a warning, then the count
+    ("count --m 2 --n 2 --a 2 --b 2", None, 0, b"0\n"),
+    ("count --m 1 --n 2 --a 2 --b 1", None, 0, b"0\n"),
+    # the TVCOUNT_THREADS warning, then the table
+    ("table --max-d 4 --csv", "x", 0, TABLE_4_CSV),
+    # an error from _fail
+    ("count --m 3 --n 6 --a 2 --b 1", None, 2, b""),
+    ("class --m 5 --n 3", None, 2, b""),
+    # a usage error
+    ("count --m 2 --n 3 --a 3", None, 1, b""),
+]
+
+
+def closed_stderr_param(argv, threads, code, out, stderr):
+    # the id is the command line: the pipe with no reader has no redirection
+    name = f"TVCOUNT_THREADS={threads} {argv}" if threads else argv
+    return pytest.param(argv, threads, code, out, stderr, id=name if stderr == "pipe" else f"{name} {stderr}")
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize(
-    "argv, threads, code, out",
-    [
-        # a warning, then the count
-        pytest.param("count --m 2 --n 2 --a 2 --b 2", None, 0, b"0\n", id="count --m 2 --n 2 --a 2 --b 2"),
-        pytest.param("count --m 1 --n 2 --a 2 --b 1", None, 0, b"0\n", id="count --m 1 --n 2 --a 2 --b 1"),
-        # the TVCOUNT_THREADS warning, then the table
-        pytest.param("table --max-d 4 --csv", "x", 0, TABLE_4_CSV, id="TVCOUNT_THREADS=x table --max-d 4 --csv"),
-        # an error from _fail
-        pytest.param("count --m 3 --n 6 --a 2 --b 1", None, 2, b"", id="count --m 3 --n 6 --a 2 --b 1"),
-        pytest.param("class --m 5 --n 3", None, 2, b"", id="class --m 5 --n 3"),
-        # a usage error
-        pytest.param("count --m 2 --n 3 --a 3", None, 1, b"", id="count --m 2 --n 3 --a 3"),
-    ],
+    "argv, threads, code, out, stderr",
+    [closed_stderr_param(*case, stderr) for stderr in ("pipe", "2>/dev/full", "2>&-") for case in CLOSED_STDERR_CASES],
 )
-def test_closed_stderr_costs_neither_stdout_nor_the_exit_code(argv, threads, code, out, unbuffered):
+def test_closed_stderr_costs_neither_stdout_nor_the_exit_code(argv, threads, code, out, stderr, unbuffered):
     env = cli_env(unbuffered)
     env.pop("TVCOUNT_THREADS", None)
     if threads is not None:
         env["TVCOUNT_THREADS"] = threads
-    proc = run_with_closed_stderr(["-m", "tvcount.cli", *argv.split()], env)
+    proc = run_with_closed_stderr(["-m", "tvcount.cli", *argv.split()], env, stderr)
     assert (proc.returncode, proc.stdout) == (code, out)
 
 

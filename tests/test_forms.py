@@ -53,6 +53,14 @@ def test_construction_validation():
         with pytest.raises(ValueError, match=f"^decimal exponent of '{text}' exceeds "):
             build(1, [text, 1])
         assert time.perf_counter() - t0 < 1
+    # every refused coefficient is a ValueError carrying Fraction's own text,
+    # where Fraction raises TypeError, OverflowError or ZeroDivisionError
+    refused = [(None, "^argument should be a string"), (1j, "^argument should be a string"), (b"1", "^argument should be a string")]
+    refused += [(float("inf"), "^cannot convert Infinity to integer ratio$"), ("1/0", r"^Fraction\(1, 0\)$")]
+    for value, text in refused:
+        for build in (BinaryForm, BinaryForm.from_binomial):
+            with pytest.raises(ValueError, match=text):
+                build(1, [1, value])
 
 
 def test_text_with_a_non_integer_exponent_gets_fractions_own_error():
@@ -81,6 +89,20 @@ def test_binomial_view_roundtrip():
 def test_binomial_view_weights():
     f = BinaryForm.from_binomial(3, [1, 1, 0, 0])
     assert f.coeffs == (Fraction(1), Fraction(3), Fraction(0), Fraction(0))
+    # the weights against math.comb: a row wrong the same way in both
+    # directions would still pass the round trip
+    for e in range(41):
+        row = tuple(comb(e, i) for i in range(e + 1))
+        assert BinaryForm.from_binomial(e, [1] * (e + 1)).coeffs == row
+        assert BinaryForm(e, row).binomial_coefficients() == (1,) * (e + 1)
+    # both conversions at degree 7999 within 1 s, the view checked against
+    # math.comb at five indices
+    f = BinaryForm(7999, [1] * 8000)
+    t0 = time.perf_counter()
+    view = f.binomial_coefficients()
+    assert BinaryForm.from_binomial(7999, view) == f
+    assert time.perf_counter() - t0 < 1
+    assert [view[i] for i in (0, 1, 2, 3999, 7999)] == [Fraction(1, comb(7999, i)) for i in (0, 1, 2, 3999, 7999)]
 
 
 # -- rendering ------------------------------------------------------------------
