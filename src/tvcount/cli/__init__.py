@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: count, class, transvect, table, selftest.
-Exit codes: 0 success, 1 usage error or stdout's reader gone, 2 invalid
+Exit codes: 0 success, 1 usage error or stdout unwritable, 2 invalid
 problem, a count, class, table or transvect over its budget or a result too
 long to print, 3 self-test mismatch or internal failure.  A closed, full or
 unwritable stderr drops warnings and errors, and changes neither stdout nor
-the exit code; a closed stdout exits 1 with nothing on stderr.
+the exit code; such a stdout exits 1 with nothing on stderr.
 JSON outputs are a stable envelope {command, inputs, result, warnings} printed
 as one canonical line (sorted keys); big integers are decimal strings.
 
@@ -97,11 +97,11 @@ def _over_budget(command: str, subject: str, m: int, n: int, budget: int) -> str
 
 
 # the most terms a count builds, bounding (m+1)(n+1), which gamma's and beta's
-# term counts stay under; it bounds the counts the digit estimate does not: a
-# limit of 0, and b = 1, which the estimate gives no weight.  It admits every
-# count with a, b >= 2 that passes the estimate at the default limit, the
-# largest (784,862,431,392) at 677 455 terms; (818,826,413,409), whose 4298
-# digits print, takes 10 to 13 s and 1 GiB on a 2-vCPU VM
+# term counts stay under; it bounds the counts the digit rule does not: every
+# count at a limit of 0, and those with b = 1, whose b^n adds no digit however
+# large n.  It admits every count with a, b >= 2 that prints at the default
+# limit, the largest (818,826,413,409) at 677 313 terms, whose 4298 digits
+# take 10 to 13 s and 1 GiB on a 2-vCPU VM
 MAX_COUNT_TERMS = 1_000_000
 
 # the most terms `class` builds, bounding (m+1)(n+1), which beta's term count
@@ -267,10 +267,10 @@ def main(argv: list[str] | None = None) -> int:
         # a write that fails fails here, not in the interpreter's flush at exit
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # stdout's reader has gone (`tvcount table ... | head`; _stderr
-        # handles stderr's): exit 1 with nothing on stderr.  SIGPIPE stays
-        # ignored, for the pool's pipes
+    except OSError:
+        # stdout's reader has gone (`tvcount table ... | head`), or stdout is
+        # full or cannot be written (_stderr handles stderr's): exit 1 with
+        # nothing on stderr.  SIGPIPE stays ignored, for the pool's pipes
         _to_devnull(sys.stdout)
         return EXIT_USAGE
     except Exception:

@@ -34,11 +34,7 @@ def run(args) -> int:
         return _fail(refused, EXIT_INVALID)
     if too_long := _too_long(problem):
         return _fail(too_long, EXIT_INVALID)
-    degree = counting.degree_of_power_sum_locus(problem)
-    try:
-        degree_text = str(degree)
-    except ValueError:  # str() of an int longer than the interpreter allows
-        return _fail(_too_long_message(problem), EXIT_INVALID)
+    degree_text = str(counting.degree_of_power_sum_locus(problem))
     warnings = [DEGENERATE_WARNING] if problem.degenerate else []
     if a == b == 2:
         warnings.append(SQUARES_WARNING)
@@ -52,18 +48,22 @@ def run(args) -> int:
     return EXIT_OK
 
 
-def _too_long_message(problem) -> str:
-    m, n, a, b = problem.m, problem.n, problem.a, problem.b
-    return f"the count for (m,n,a,b)=({m},{n},{a},{b}) has more than {str_digits_limit()} digits, the most str() prints (sys.get_int_max_str_digits())"
-
-
 def _too_long(problem) -> str | None:
     """The one-line refusal, before the count is computed, of a count with
-    more digits than str() prints, else None.  It is refused when
-    floor(m log10 a + n log10 b) >= limit + 1: it is a^m b^n less terms too
-    small to cost it a digit there.  A count the estimate lets through is
-    refused by str() itself once computed."""
+    more digits than str() prints, else None.  It is refused at once when
+    floor(m log10 a + n log10 b) >= limit + 1, before a^m b^n is formed: it
+    is a^m b^n less terms too small to cost it a digit there.  Any other count
+    is refused when str() refuses the closed form of its pairing."""
+    from .. import counting
+
     limit = str_digits_limit()
-    if limit and math.floor(problem.m * math.log10(problem.a) + problem.n * math.log10(problem.b)) > limit:
-        return _too_long_message(problem)
-    return None
+    if not limit:
+        return None
+    m, n, a, b = problem.m, problem.n, problem.a, problem.b
+    if math.floor(m * math.log10(a) + n * math.log10(b)) <= limit:
+        try:
+            str(sum(counting._count_parts(problem)))
+            return None
+        except ValueError:  # str() of an int longer than the interpreter allows
+            pass
+    return f"the count for (m,n,a,b)=({m},{n},{a},{b}) has more than {limit} digits, the most str() prints (sys.get_int_max_str_digits())"

@@ -84,6 +84,15 @@ def _pair_with_beta(problem: PowerSumProblem, main: int, c0: int, c1: int, c2: i
     return (-main, cap, excess) if deg % 2 else (main, -cap, -excess)
 
 
+def _count_parts(problem: PowerSumProblem) -> tuple[int, int, int]:
+    """The count as (main term, cap, gcd-2 excess): _pair_with_beta fed
+    gamma = h_N(s1, s2), N = m+n, whose main sum is (-1)^N a^m b^n and whose
+    coefficient at s2^k is c_k = (-1)^(N-k) C(N-k, k)."""
+    big_n = problem.m + problem.n
+    c0, c1, c2 = [(-1) ** (big_n - k) * math.comb(big_n - k, k) for k in range(3)]
+    return _pair_with_beta(problem, (-1) ** big_n * problem.a**problem.m * problem.b**problem.n, c0, c1, c2)
+
+
 class WeightPair(Frozen):
     """Unordered pair of torus weights of the rank-2 bundle fiber at a fixed
     point, stored in order (w1 <= w2), so comparison ignores order."""

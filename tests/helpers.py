@@ -5,9 +5,8 @@ route, the series quotient for the blow-up class, and the ring route for
 the gamma and beta classes: the recurrence, geometric-series, multinomial
 and explicit-sum forms, built with generic ring arithmetic instead of the
 count's closed forms, the per-term formulas of both classes with every
-binomial from math.comb, and the Horner route for the Chern integral, and
-the count's closed formula, the count's split into main term, cap and
-gcd-2 excess, and argparse as the reference for the CLI's
+binomial from math.comb, the Horner route for the Chern integral and the
+count's closed formula, and argparse as the reference for the CLI's
 parser."""
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 
 from tvcount import BinaryForm, RingSpec, TruncatedPolynomial, alpha_classes, beta_pushforward, geometric_inverse, transvectant, validate
 from tvcount.cli import _COMMANDS
-from tvcount.counting import _pair_with_beta
+from tvcount.counting import _count_parts as count_parts
 from tvcount.cycles import ambient_spec, gcd2_excess
 
 
@@ -262,15 +261,6 @@ def closed_formula_count(problem) -> int:
         pairs = math.comb(big_n, 2)
         count -= e20 * (pairs - a * (big_n - 1) + a * a) + e11 * (b - 1) * (big_n - 1) * (a - big_n) + e02 * pairs * (b - 1) ** 2
     return count
-
-
-def count_parts(problem) -> tuple[int, int, int]:
-    """The count as (main term, cap, gcd-2 excess): the pairing evaluator fed
-    gamma = h_N(s1, s2), N = m+n, whose main sum is (-1)^N a^m b^n and whose
-    coefficient at s2^k is c_k = (-1)^(N-k) C(N-k, k)."""
-    big_n = problem.m + problem.n
-    c0, c1, c2 = [(-1) ** (big_n - k) * math.comb(big_n - k, k) for k in range(3)]
-    return _pair_with_beta(problem, (-1) ** big_n * problem.a**problem.m * problem.b**problem.n, c0, c1, c2)
 
 
 # -- argparse as the reference for the CLI's parser ---------------------------------

@@ -18,7 +18,6 @@ import tvcount
 from tvcount import admissible_tuples, beta_pushforward, cli, counting, cycles, forms, integrate_chern_polynomial, validate
 from tvcount._frozen import DEFAULT_MAX_DIGITS
 from tvcount.cli import MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, SQUARES_WARNING, main
-from tvcount.cli import count as cli_count
 from tvcount.cli import table as cli_table
 from tvcount.cycles import gcd2_excess
 
@@ -381,21 +380,17 @@ def not_computed(problem):
 
 @needs_str_digits_limit
 @pytest.mark.parametrize("extra", [[], ["--json"]])
-@pytest.mark.parametrize("k", [511, 540])
-def test_count_over_the_digit_limit_exits_2_before_computing(capsys, str_digits, monkeypatch, extra, k):
+@pytest.mark.parametrize("m, n, a, b", [(511, 1023, 1023, 511), (540, 1081, 1081, 540), (784, 862, 431, 392)])
+def test_count_over_the_digit_limit_exits_2_before_computing(capsys, str_digits, monkeypatch, extra, m, n, a, b):
+    # the estimate refuses the first two; (784, 862, 431, 392) has 4301 digits
+    # but floor(m log10 a + n log10 b) = 4300, so str() of its closed form does
     str_digits(DEFAULT_MAX_DIGITS)
     monkeypatch.setattr(counting, "degree_of_power_sum_locus", not_computed)
-    argv = ("count", "--m", str(k), "--n", str(2 * k + 1), "--a", str(2 * k + 1), "--b", str(k), *extra)
+    argv = ("count", "--m", str(m), "--n", str(n), "--a", str(a), "--b", str(b), *extra)
     code, out, err, seconds = timed_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "more than 4300 digits" in err
     assert seconds < 1
-
-
-@needs_str_digits_limit
-def test_count_at_the_default_digit_limit_is_computed(str_digits):
-    str_digits(DEFAULT_MAX_DIGITS)
-    assert cli_count._too_long(validate(510, 1021, 1021, 510)) is None
 
 
 @needs_str_digits_limit
@@ -419,11 +414,11 @@ def test_count_over_its_term_budget_exits_2_before_computing(capsys, str_digits,
 
 
 @needs_str_digits_limit
-@pytest.mark.parametrize("m, n, a, b", [(510, 1021, 1021, 510), (784, 862, 431, 392), (1, 499_999, 499_999, 1)])
+@pytest.mark.parametrize("m, n, a, b", [(510, 1021, 1021, 510), (818, 826, 413, 409), (1, 499_999, 499_999, 1)])
 def test_count_at_or_under_its_term_budget_is_computed(capsys, str_digits, monkeypatch, m, n, a, b):
-    # (784, 862, 431, 392) has the most terms, 677 455, of the counts with
-    # a, b >= 2 that pass the digit estimate at the default limit; (1, 499 999)
-    # is at the budget
+    # (818, 826, 413, 409), 4298 digits, has the most terms, 677 313, of the
+    # counts with a, b >= 2 that print at the default limit; (1, 499 999) is
+    # at the budget
     str_digits(DEFAULT_MAX_DIGITS)
     computed = []
     monkeypatch.setattr(counting, "degree_of_power_sum_locus", lambda problem: computed.append(problem) or 1)
@@ -447,18 +442,14 @@ def test_count_digit_limit_boundary(capsys, str_digits, monkeypatch, extra):
         out = json.loads(out)["result"]["degree"] + "\n"
     assert len(out) == 664
 
-    # refused once computed: the estimate leaves it to str()
-    str_digits(662)
-    code, out, err, seconds = timed_cli(capsys, *BOUNDARY_ARGV, *extra)
-    assert (code, out) == (2, "") and seconds < 1
-    assert err.count("\n") == 1 and "more than 662 digits" in err
-
-    # refused before computing
-    str_digits(661)
+    # refused before computing: at 662 the estimate leaves it to str() of the
+    # closed form, at 661 the estimate refuses it
     monkeypatch.setattr(counting, "degree_of_power_sum_locus", not_computed)
-    code, out, err, seconds = timed_cli(capsys, *BOUNDARY_ARGV, *extra)
-    assert (code, out) == (2, "") and seconds < 1
-    assert err.count("\n") == 1 and "more than 661 digits" in err
+    for limit in (662, 661):
+        str_digits(limit)
+        code, out, err, seconds = timed_cli(capsys, *BOUNDARY_ARGV, *extra)
+        assert (code, out) == (2, "") and seconds < 1
+        assert err.count("\n") == 1 and f"more than {limit} digits" in err
 
 
 def test_no_table_row_under_the_budget_is_too_long_to_print():
@@ -864,14 +855,18 @@ def cli_env(unbuffered: bool = False) -> dict:
 
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize(
-    "argv", ["count --m 2 --n 3 --a 3 --b 2", "selftest", "table --max-d 40", "--help", "count --help", "count --m 2 --n 3 --a 3 --b 2 >&-"]
+    "argv",
+    ["count --m 2 --n 3 --a 3 --b 2", "selftest", "table --max-d 40", "--help", "count --help", "count --m 2 --n 3 --a 3 --b 2 >&-",
+     "count --m 2 --n 3 --a 3 --b 2 >/dev/full", "table --max-d 40 >/dev/full"],
 )
 def test_closed_stdout_exits_1_with_nothing_on_stderr(argv, unbuffered):
     # stdout is a pipe whose read end is already closed, or, with ">&-", fd 1
-    # is closed when the interpreter starts, so sys.stdout is None
-    command = [sys.executable, "-m", "tvcount.cli", *argv.removesuffix(" >&-").split()]
-    if argv.endswith(" >&-"):
-        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command], stderr=subprocess.PIPE, env=cli_env(unbuffered), timeout=60)
+    # is closed when the interpreter starts, so sys.stdout is None, or, with
+    # ">/dev/full", every write to it fails with ENOSPC
+    argv, _, redirect = argv.partition(" >")
+    command = [sys.executable, "-m", "tvcount.cli", *argv.split()]
+    if redirect:
+        proc = subprocess.run(["sh", "-c", f'exec "$@" >{redirect}', "sh", *command], stderr=subprocess.PIPE, env=cli_env(unbuffered), timeout=60)
     else:
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -1140,6 +1135,8 @@ count --d 1000000000000 --a 1000000000000 --b 1
 count --m 1000 --n 1001 --a 1001 --b 1000
 count --m 510 --n 1021 --a 1021 --b 510
 count --m 784 --n 862 --a 431 --b 392
+count --m 784 --n 862 --a 431 --b 392 --json
+count --m 818 --n 826 --a 413 --b 409
 count --m 1 --n 499999 --a 499999 --b 1
 count --m 104 --n 209 --a 209 --b 104
 count --m 104 --n 209 --a 209 --b 104 --json
