@@ -980,35 +980,26 @@ def test_cli_import_loads_no_heavy_modules():
 
 
 @pytest.mark.parametrize(
-    "argv, loaded, commands",
+    "argv, loaded",
     [
-        ("transvect --f 1,0,0 --g 0,1", ["tvcount.forms"], ["tvcount.cli.transvect"]),
-        ("transvect --f -1,2 --g 1,1", ["tvcount.forms"], ["tvcount.cli.transvect"]),
-        ("class --m 2 --n 3", ["tvcount.cycles", "tvcount.ring"], ["tvcount.cli.class_"]),
-        ("class --m 2 --n 3 --format latex", ["tvcount.cycles", "tvcount.ring"], ["tvcount.cli.class_"]),
-        ("count --m 2 --n 3 --a 3 --b 2", CHOW_RING, ["tvcount.cli.count"]),
+        ("transvect --f 1,0,0 --g 0,1", ["tvcount.forms"]),
+        ("class --m 2 --n 3", ["tvcount.cycles", "tvcount.ring"]),
+        ("count --m 2 --n 3 --a 3 --b 2", CHOW_RING),
         # refused before validation: d is not divisible by a
-        ("count --d 7 --a 3 --b 2", [], ["tvcount.cli.count"]),
+        ("count --d 7 --a 3 --b 2", []),
         # refused by validation, which is PowerSumProblem's
-        ("count --m 3 --n 6 --a 2 --b 1", CHOW_RING, ["tvcount.cli.count"]),
-        ("table --max-d 6", CHOW_RING, ["tvcount.cli.table"]),
-        ("selftest", CHOW_RING, ["tvcount.cli.selftest"]),
+        ("count --m 3 --n 6 --a 2 --b 1", CHOW_RING),
+        ("table --max-d 6", CHOW_RING),
+        ("selftest", CHOW_RING),
         # refused over its term budget, before cycles is imported
-        ("class --m 1 --n 100000", [], ["tvcount.cli.class_"]),
-        # help, and a usage error, run no command
-        ("--help", [], []),
-        ("count --a 3", [], []),
+        ("class --m 1 --n 100000", []),
     ],
 )
-def test_each_command_loads_only_the_engine_it_runs(argv, loaded, commands):
-    # the engine it runs, the command module argv names and, past start-up,
-    # none of argparse and the modules argparse loads
-    late = ("argparse", "gettext", "locale", "__future__")
+def test_each_command_loads_only_the_engine_it_runs(argv, loaded):
     code = (
-        "import sys; before = set(sys.modules); from tvcount.cli import main; "
+        "import sys; from tvcount.cli import main; "
         f"main({argv.split()!r}); print([m for m in {ENGINE!r} if m in sys.modules]); "
         "print(sorted(m for m in sys.modules if m.startswith('tvcount.cli.'))); "
-        f"print([m for m in {late!r} if m in set(sys.modules) - before]); "
         "print(*sorted(m for m in sys.modules if m.startswith('tvcount')))"
     )
     env = {k: v for k, v in os.environ.items() if k != "TVCOUNT_THREADS"}
@@ -1016,8 +1007,10 @@ def test_each_command_loads_only_the_engine_it_runs(argv, loaded, commands):
         [sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": PACKAGE_ROOT}
     )
     assert proc.returncode == 0, proc.stderr
-    engines, command_modules, loaded_late, tvcount_modules = proc.stdout.splitlines()[-4:]
-    assert (engines, command_modules, loaded_late) == (repr(loaded), repr(commands), "[]")
+    engines, commands, tvcount_modules = proc.stdout.splitlines()[-3:]
+    assert engines == repr(loaded)
+    # and of the command modules, only its own
+    assert commands == repr([COMMAND_MODULES[argv.split()[0]]])
     # and python -X importtime lists every one of them: a module loaded
     # through importlib.import_module would be missing
     timed = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
@@ -1318,3 +1311,26 @@ def test_reader_agrees_with_argparse():
             assert vars(got) == vars(want), argv
             read += 1
     assert len(corpus) > 1500 and read > len(corpus) // 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--m", "2", "--n", "3", "--a", "3", "--b", "2"],
+        ["class", "--m", "2", "--n", "3", "--format", "latex"],
+        ["transvect", "--f", "-1,2", "--g", "1,1"],
+        ["table", "--max-d", "6"],
+        ["selftest"],
+        ["--help"],
+        ["count", "--a", "3"],
+    ],
+)
+def test_main_imports_no_argparse(argv):
+    heavy = ("argparse", "gettext", "locale", "__future__")
+    code = (
+        "import sys; before = set(sys.modules); from tvcount.cli import main; "
+        f"main({argv!r}); print([m for m in {heavy!r} if m in set(sys.modules) - before])"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "TVCOUNT_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": PACKAGE_ROOT})
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -10,6 +10,7 @@ import pytest
 from tvcount import (
     RingSpec,
     TruncatedPolynomial,
+    WeightPair,
     admissible_tuples,
     beta_pushforward,
     degree_of_power_sum_locus,
@@ -31,6 +32,17 @@ from .sympy_reference import sympy_count
 
 
 # -- validate ---------------------------------------------------------------------
+
+
+def test_validate_clebsch_tuple():
+    p = validate(2, 3, 3, 2)
+    assert (p.m, p.n, p.a, p.b, p.d) == (2, 3, 3, 2, 6)
+    assert p.gcd == 1 and not p.degenerate
+
+
+def test_validate_normalizes_swap():
+    p = validate(6, 4, 2, 3)
+    assert (p.m, p.n, p.a, p.b, p.d) == (4, 6, 3, 2, 12)
 
 
 def test_validate_rejects_large_gcd():
@@ -67,6 +79,14 @@ def test_validate_flags_degenerate():
 
 
 # -- degree_of_power_sum_locus --------------------------------------------------------
+
+
+def test_degree_clebsch():
+    assert degree_of_power_sum_locus(validate(2, 3, 3, 2)) == 40
+
+
+def test_degree_line_case():
+    assert degree_of_power_sum_locus(validate(1, 1, 3, 3)) == 2
 
 
 def swapped_count(problem) -> int:
@@ -110,6 +130,11 @@ def test_degree_matches_closed_formula():
         main, cap, excess = count_parts(problem)
         assert main + cap + excess == count and (problem.gcd == 2 or excess == 0), problem
     assert count_parts(validate(4, 6, 3, 2)) == (5184, -882, -540)
+
+
+def test_degree_nonnegative_small():
+    for problem in all_admissible(20):
+        assert degree_of_power_sum_locus(problem) >= 0
 
 
 def test_degree_matches_sympy_reference():
@@ -166,6 +191,11 @@ def test_count_along_a_family_is_its_leading_power_plus_a_low_polynomial():
 # -- integrate_chern_polynomial ---------------------------------------------------------
 
 
+def test_chern_polynomial_recovers_count():
+    problem = validate(2, 3, 3, 2)
+    assert integrate_chern_polynomial(problem, gamma_terms(5)) == 40
+
+
 def test_chern_polynomial_zero():
     problem = validate(2, 3, 3, 2)
     assert integrate_chern_polynomial(problem, []) == 0
@@ -214,6 +244,29 @@ def test_chern_polynomial_degree_gate():
 # -- fixed-point weights -------------------------------------------------------------------
 
 
+def test_weight_pair_is_unordered():
+    assert WeightPair(3, -1) == WeightPair(-1, 3)
+    assert WeightPair(3, -1) != WeightPair(3, 1)
+    assert hash(WeightPair(3, -1)) == hash(WeightPair(-1, 3))
+
+
+def test_fixed_point_weight_examples():
+    problem = validate(2, 3, 3, 2)
+    assert fixed_point_weights(problem, 0, 0, 0) == WeightPair(-6, -4)
+    assert fixed_point_weights(problem, 2, 3, 3) == WeightPair(6, 4)
+
+
+def test_unexceptional_points_collapse():
+    problem = validate(2, 3, 3, 2)
+    m, n, b, d = problem.m, problem.n, problem.b, problem.d
+    for i in range(m + 1):
+        for j in range(n + 1):
+            k = i + j - 1
+            if 0 <= k <= m + n - 2:
+                w = fixed_point_weights(problem, i, j, k)
+                assert 2 * b * j - d in (w.w1, w.w2)
+
+
 def test_fixed_point_weights_range_errors():
     problem = validate(2, 3, 3, 2)
     for bad in ((3, 0, 0), (0, 4, 0), (0, 0, 4), (-1, 0, 0)):
@@ -221,7 +274,45 @@ def test_fixed_point_weights_range_errors():
             fixed_point_weights(problem, *bad)
 
 
+def test_weights_match_line_bundle_pair_small():
+    # the rank-2 fiber weights agree with those of O(-a,0,0) + O(1,1-b,-1),
+    # with the fiber of O(-1) at x^i y^(m-i) carrying weight 2i - m
+    for problem in all_admissible(8):
+        m, n, a, b = problem.m, problem.n, problem.a, problem.b
+        for i in range(m + 1):
+            for j in range(n + 1):
+                for k in range(m + n - 1):
+                    expected = WeightPair(
+                        a * (2 * i - m),
+                        -(2 * i - m) + (b - 1) * (2 * j - n) + (2 * k - (m + n - 2)),
+                    )
+                    assert fixed_point_weights(problem, i, j, k) == expected
+
+
 # -- admissible_tuples -------------------------------------------------------------------
+
+
+def test_admissible_tuples_rows():
+    rows = {(p.d, p.a, p.b) for p in admissible_tuples(6)}
+    assert (6, 3, 2) in rows
+    assert (4, 2, 2) in rows
+    assert (6, 2, 3) not in rows
+
+
+def test_admissible_tuples_filters_and_order():
+    problems = admissible_tuples(14)
+    keys = [(p.d, p.a, p.b) for p in problems]
+    assert keys == sorted(keys)
+    assert len(keys) == len(set(keys))
+    for p in problems:
+        assert p.a >= 2 and p.b >= 2 and p.a >= p.b
+        assert p.d % p.a == 0 and p.d % p.b == 0
+        assert p.gcd in (1, 2)
+        assert p.m <= p.n
+
+
+def test_admissible_tuples_empty_below_two():
+    assert admissible_tuples(1) == []
 
 
 def test_admissible_tuples_match_brute_force():

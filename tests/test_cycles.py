@@ -20,7 +20,24 @@ from tvcount import (
 )
 from tvcount.cycles import chern_roots
 
-from .helpers import all_admissible, formula_beta, formula_gamma, segre_class
+from .helpers import (
+    all_admissible,
+    explicit_beta_base,
+    formula_beta,
+    formula_gamma,
+    multinomial_gamma,
+    segre_class,
+    series_beta_base,
+    series_gamma,
+)
+
+
+def closed_sum(spec: RingSpec, r: int):
+    lam, zeta = spec.variables()
+    total = spec.zero()
+    for k in range(r):
+        total = total + lam ** (r - 1 - k) * zeta ** k
+    return total
 
 
 # -- blow-up classes --------------------------------------------------
@@ -32,6 +49,11 @@ def test_blowup_class_examples():
     assert blowup_class_S(2) == lam + zeta
     lam, zeta = RingSpec((2, 2)).variables()
     assert blowup_class_S(3) == lam ** 2 + lam * zeta + zeta ** 2
+
+
+def test_blowup_class_matches_closed_sum():
+    for r in range(1, 13):
+        assert blowup_class_S(r) == closed_sum(RingSpec((r - 1, r - 1)), r)
 
 
 def test_blowup_class_is_its_r_terms_and_fast():
@@ -92,6 +114,38 @@ def test_beta_class_text_and_latex_are_pinned():
     assert len(classes) == 58
     assert hashlib.sha256("\n".join(map(str, classes)).encode()).hexdigest() == BETA_TEXT_SHA256
     assert hashlib.sha256("\n".join(c.to_latex() for c in classes).encode()).hexdigest() == BETA_LATEX_SHA256
+
+
+def test_beta_pushforward_is_homogeneous():
+    for m, n in ((1, 4), (2, 3), (2, 2), (4, 6), (2, 5)):
+        cls = beta_pushforward(m, n)
+        assert cls == cls.homogeneous_part(m + n - 2)
+        assert not cls.is_zero
+
+
+def test_beta_pushforward_series_equals_sum_form():
+    # the two printed forms of the gcd-1 class, recomputed here from scratch
+    for m in range(1, 6):
+        for n in range(m, 7):
+            if math.gcd(m, n) > 2:
+                continue
+            assert series_beta_base(m, n) == explicit_beta_base(m, n)
+
+
+def test_beta_pushforward_symmetric_when_degrees_match():
+    # m == n forces gcd(m, n) = m, so only (1, 1) and (2, 2) are supported
+    for m in (1, 2):
+        cls = beta_pushforward(m, m)
+        swapped = {(e2, e1, e3): c for (e1, e2, e3), c in cls.terms.items()}
+        assert swapped == cls.terms
+
+
+def test_beta_pushforward_nonnegative_small():
+    for m in range(1, 7):
+        for n in range(m, 7):
+            if math.gcd(m, n) > 2:
+                continue
+            assert all(c >= 0 for c in beta_pushforward(m, n).terms.values())
 
 
 # -- problem type ----------------------------------------------------------------------
@@ -184,6 +238,19 @@ def test_gamma_class_line_case(d):
     problem = PowerSumProblem(m=1, n=1, a=d, b=d)
     expected = ambient_spec(1, 1).monomial((1, 1, 0), (d - 1) * (d - 2))
     assert gamma_class(problem) == expected
+
+
+def test_gamma_class_is_homogeneous():
+    for (m, n, a, b) in ((2, 3, 3, 2), (4, 6, 3, 2), (1, 4, 4, 1)):
+        problem = PowerSumProblem(m=m, n=n, a=a, b=b)
+        g = gamma_class(problem)
+        assert g == g.homogeneous_part(m + n)
+
+
+def test_gamma_class_two_paths_agree():
+    # series route vs multinomial route, recomputed here from the alphas
+    problem = PowerSumProblem(m=2, n=3, a=3, b=2)
+    assert series_gamma(problem) == multinomial_gamma(problem) == gamma_class(problem)
 
 
 def test_gamma_class_matches_recurrence():

@@ -430,6 +430,42 @@ print([n for n, v in namespace.items() if n != "__version__" and v is not getatt
     assert proc.stdout.splitlines() == ["[]", "True True", "[]", "True", "[]"]
 
 
+# -- exact identities (spot checks; the full randomized suite runs in acceptance) --
+
+
+def test_bilinearity_spot():
+    rng = random.Random(21)
+    for _ in range(10):
+        e, eg = rng.randint(1, 4), rng.randint(1, 4)
+        f1, f2, g = rand_form(rng, e), rand_form(rng, e), rand_form(rng, eg)
+        a, b = Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        assert transvectant(a * f1 + b * f2, g) == a * transvectant(f1, g) + b * transvectant(f2, g)
+
+
+def test_antisymmetry_spot():
+    rng = random.Random(22)
+    for _ in range(10):
+        e = rng.randint(1, 5)
+        f, g = rand_form(rng, e), rand_form(rng, e)
+        assert transvectant(f, g) == -transvectant(g, f)
+
+
+def test_power_rule_spot():
+    rng = random.Random(25)
+    f, g = rand_form(rng, 3, zero_ok=False), rand_form(rng, 2, zero_ok=False)
+    k, l = 3, 2
+    lhs = transvectant(pow_form(f, k), pow_form(g, l))
+    rhs = (k * l) * mul_form(mul_form(pow_form(f, k - 1), pow_form(g, l - 1)), transvectant(f, g))
+    assert lhs == rhs
+
+
+def test_common_power_vanishing_spot():
+    rng = random.Random(26)
+    h = rand_form(rng, 2, zero_ok=False)
+    assert transvectant(pow_form(h, 2), pow_form(h, 3)).is_zero
+    assert transvectant(3 * pow_form(h, 1), Fraction(-1, 2) * pow_form(h, 2)).is_zero
+
+
 # -- transvectant_support ------------------------------------------------------------
 
 
@@ -480,3 +516,25 @@ def test_structural_coefficient_closed_form():
                     assert sympy_transvectant(f.coeffs, g.coeffs) == [
                         expected if k == i + j - 1 else 0 for k in range(m + n - 1)
                     ], (m, n, i, j)
+
+
+def test_structural_pairs_antisymmetric_when_degrees_match():
+    for m in range(1, 7):
+        for i in range(m + 1):
+            for j in range(m + 1):
+                if i == j or i + j < 1 or i + j > 2 * m - 1:
+                    continue
+                cij = structural_coefficient(m, m, i, j)
+                cji = structural_coefficient(m, m, j, i)
+                assert cij + cji == 0
+                assert cij != 0
+
+
+def test_structural_diagonal_vanishes_when_degrees_match():
+    # observed regularity: the diagonal coefficient is 0 for m == n and can
+    # be nonzero otherwise (e.g. m=2, n=4, i=1)
+    for m in range(1, 7):
+        for i in range(1, m + 1):
+            if 1 <= 2 * i - 1 <= 2 * m - 2:
+                assert structural_coefficient(m, m, i, i) == 0
+    assert structural_coefficient(2, 4, 1, 1) != 0
