@@ -7,16 +7,29 @@ and explicit-sum forms, built with generic ring arithmetic instead of the
 count's closed forms, the per-term formulas of both classes with every
 binomial from math.comb, the Horner route for the Chern integral and the
 count's closed formula, and argparse as the reference for the CLI's
-parser."""
+parser.
+
+The tests reach the CLI through two runners: run_cli (in test_cli and
+test_acceptance) calls main in pytest's process, and run_python starts a
+child interpreter.  Both pass each CLI argv to check_reader.  Every child
+runs under child_env, whose PYTHONWARNINGS=error does what filterwarnings
+does in pytest's process."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import tvcount
 from tvcount import BinaryForm, RingSpec, TruncatedPolynomial, alpha_classes, beta_pushforward, geometric_inverse, transvectant, validate
-from tvcount.cli import _COMMANDS
+from tvcount.cli import _COMMANDS, _read_argv, _UsageError
 from tvcount.counting import _count_parts as count_parts
 from tvcount.cycles import ambient_spec, gcd2_excess
 
@@ -266,6 +279,7 @@ def closed_formula_count(problem) -> int:
 # -- argparse as the reference for the CLI's parser ---------------------------------
 
 
+@functools.cache
 def argparse_reference():
     """parse(argv): the namespace an argparse parser built from
     tvcount.cli._COMMANDS gives for argv, or None where it refuses argv.  A
@@ -303,3 +317,81 @@ def argparse_reference():
             return None
 
     return parse
+
+
+def check_reader(argv, well_formed=None) -> bool:
+    """Assert that the CLI's reader takes argv (help counts as not taken)
+    exactly when argparse_reference() does, with the same values, and, if
+    well_formed is given, exactly when it is True.  Returns whether the
+    reader took argv."""
+    argv = list(argv)
+    try:
+        got = _read_argv(argv)
+    except _UsageError:
+        got = None
+    got = None if got is None or got.help else got
+    want = argparse_reference()(argv)
+    if well_formed is not None:
+        assert (got is not None) == well_formed, argv
+    assert (got is None) == (want is None), argv
+    if got is not None:
+        assert vars(got) == vars(want), argv
+    return got is not None
+
+
+# -- child interpreters ---------------------------------------------------------------
+
+# the src directory this tvcount was imported from
+PACKAGE_ROOT = str(Path(tvcount.__file__).resolve().parents[1])
+
+
+def child_env(unbuffered: bool = False, threads: str | None = None) -> dict:
+    """This environment with this tvcount on PYTHONPATH and
+    PYTHONWARNINGS=error; TVCOUNT_THREADS and PYTHONUNBUFFERED are set only
+    when a test passes them."""
+    env = {k: v for k, v in os.environ.items() if k not in ("TVCOUNT_THREADS", "PYTHONUNBUFFERED")}
+    env.update(PYTHONPATH=PACKAGE_ROOT, PYTHONWARNINGS="error")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if threads is not None:
+        env["TVCOUNT_THREADS"] = threads
+    return env
+
+
+def run_python(args, *, stdout="pipe", stderr="pipe", unbuffered=False, threads=None, text=False):
+    """python args under child_env(unbuffered, threads), as a
+    CompletedProcess.  Each stream is "pipe" (captured), "no reader" (a pipe
+    whose read end is closed), "/dev/full" (every write fails with ENOSPC) or
+    "closed" (the fd is closed at start, so sys.stdout or sys.stderr is
+    None).  A -m tvcount.cli argv goes through check_reader first."""
+    if args[:2] == ["-m", "tvcount.cli"]:
+        check_reader(args[2:])
+    command = [sys.executable, *args]
+    if closed := " ".join(f"{fd}>&-" for fd, kind in ((1, stdout), (2, stderr)) if kind == "closed"):
+        command = ["sh", "-c", f'exec "$@" {closed}', "sh", *command]
+    with contextlib.ExitStack() as stack:
+        streams = []
+        for kind in (stdout, stderr):
+            if kind == "no reader":
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                stack.callback(os.close, write_end)
+                streams.append(write_end)
+            elif kind == "/dev/full":
+                streams.append(stack.enter_context(open("/dev/full", "wb")))
+            else:
+                streams.append({"pipe": subprocess.PIPE, "closed": None}[kind])
+        return subprocess.run(command, stdout=streams[0], stderr=streams[1], env=child_env(unbuffered, threads), text=text, timeout=60)
+
+
+def fresh_main_code(argv, *shown: str) -> str:
+    """python -c code that imports tvcount.cli's main, calls main(argv)
+    unless argv is None, and prints each expression in shown, where new is
+    the set of modules loaded since start-up.  argv goes through
+    check_reader first."""
+    call = ""
+    if argv is not None:
+        check_reader(argv)
+        call = f"main({argv!r}); "
+    prints = "; ".join(f"print({expression})" for expression in shown)
+    return f"import sys; before = set(sys.modules); from tvcount.cli import main; {call}new = set(sys.modules) - before; {prints}"

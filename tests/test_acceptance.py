@@ -41,6 +41,7 @@ from tvcount.ring import RingSpec
 
 from .helpers import (
     all_admissible,
+    check_reader,
     excess_correction,
     explicit_beta_base,
     multinomial_gamma,
@@ -75,6 +76,7 @@ def report(num: int, description: str):
 
 
 def run_cli(*argv) -> tuple[int, str, str]:
+    check_reader(argv)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))

@@ -21,13 +21,11 @@ from tvcount.cli import MAX_CLASS_TERMS, MAX_COUNT_TERMS, MAX_TABLE_D, SQUARES_W
 from tvcount.cli import table as cli_table
 from tvcount.cycles import gcd2_excess
 
-from .helpers import argparse_reference, brute_force_admissible, count_parts, far_denominators
-
-# the src directory this tvcount was imported from, for subprocesses
-PACKAGE_ROOT = str(Path(tvcount.__file__).resolve().parents[1])
+from .helpers import PACKAGE_ROOT, brute_force_admissible, check_reader, child_env, count_parts, far_denominators, fresh_main_code, run_python
 
 
 def run_cli(capsys, *argv):
+    check_reader(argv)
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -774,14 +772,10 @@ def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch, count, cpus)
 
 
 def test_selftest_passes(capsys):
-    code, out, _ = run_cli(capsys, "selftest")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 4
-    assert all(line.startswith("PASS") for line in lines)
-
-    code, out2, _ = run_cli(capsys, "selftest")
-    assert out2.strip().splitlines() == lines
+    # criterion 9 asserts the exit code and the four PASS lines; a second
+    # selftest prints the same lines as the first
+    out = run_cli(capsys, "selftest")[1]
+    assert run_cli(capsys, "selftest")[1] == out
 
 
 @pytest.mark.parametrize("argv", ["--help", "-h", "--help x", "count -h", "class --m 2 --help", "table -h --max-d x", "transvect --help", "selftest -h"])
@@ -819,11 +813,7 @@ def test_separate_value_with_underscores_reaches_the_integer_gate(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "tvcount.cli", "count", "--m", "2", "--n", "3", "--a", "3", "--b", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python(["-m", "tvcount.cli", "count", "--m", "2", "--n", "3", "--a", "3", "--b", "2"], text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "40"
 
@@ -831,13 +821,8 @@ def test_module_entry_point():
 # -- stdout's reader gone ------------------------------------------------------------
 
 
-def cli_env(unbuffered: bool = False) -> dict:
-    # filterwarnings = ["error"] reaches only pytest's own process
-    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT, "PYTHONWARNINGS": "error"}
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return env
+# the stdout of the child each redirection in a test id stands for
+STDOUT_KINDS = {"": "no reader", "&-": "closed", "/dev/full": "/dev/full"}
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
@@ -851,28 +836,16 @@ def test_closed_stdout_exits_1_with_nothing_on_stderr(argv, unbuffered):
     # is closed when the interpreter starts, so sys.stdout is None, or, with
     # ">/dev/full", every write to it fails with ENOSPC
     argv, _, redirect = argv.partition(" >")
-    command = [sys.executable, "-m", "tvcount.cli", *argv.split()]
-    if redirect:
-        proc = subprocess.run(["sh", "-c", f'exec "$@" >{redirect}', "sh", *command], stderr=subprocess.PIPE, env=cli_env(unbuffered), timeout=60)
-    else:
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=cli_env(unbuffered), timeout=60)
-        finally:
-            os.close(write_end)
+    proc = run_python(["-m", "tvcount.cli", *argv.split()], stdout=STDOUT_KINDS[redirect], unbuffered=unbuffered)
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_reader_that_stops_after_one_line_exits_1_with_nothing_on_stderr():
     # `tvcount table --max-d 300 | head -n 1`: the 289 KB table fills the pipe
     # long before the reader closes it
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "tvcount.cli", "table", "--max-d", "300"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=cli_env(),
-    )
+    argv = ["table", "--max-d", "300"]
+    check_reader(argv)
+    proc = subprocess.Popen([sys.executable, "-m", "tvcount.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     header = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
@@ -885,24 +858,6 @@ def test_reader_that_stops_after_one_line_exits_1_with_nothing_on_stderr():
 # -- stderr's reader gone ------------------------------------------------------------
 
 TABLE_4_CSV = b"d,a,b,m,n,gcd,degree\n2,2,2,1,1,1,0\n3,3,3,1,1,1,2\n4,2,2,2,2,2,0\n4,4,2,1,2,1,6\n4,4,4,1,1,1,6\n"
-
-
-def run_with_closed_stderr(args: list[str], env: dict, stderr: str = "pipe") -> subprocess.CompletedProcess:
-    # stderr is a pipe whose read end is already closed ("pipe"), /dev/full
-    # ("2>/dev/full", every write fails with ENOSPC), or no stream at all
-    # ("2>&-", fd 2 closed when the interpreter starts, so sys.stderr is None)
-    command = [sys.executable, *args]
-    if stderr == "2>&-":
-        return subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *command], stdout=subprocess.PIPE, env=env, timeout=60)
-    if stderr == "2>/dev/full":
-        with open("/dev/full", "wb") as full:
-            return subprocess.run(command, stdout=subprocess.PIPE, stderr=full, env=env, timeout=60)
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        return subprocess.run(command, stdout=subprocess.PIPE, stderr=write_end, env=env, timeout=60)
-    finally:
-        os.close(write_end)
 
 
 CLOSED_STDERR_CASES = [
@@ -919,23 +874,23 @@ CLOSED_STDERR_CASES = [
 ]
 
 
+# each stderr of the child and its redirection in a test id
+STDERR_IDS = {"no reader": "", "/dev/full": " 2>/dev/full", "closed": " 2>&-"}
+
+
 def closed_stderr_param(argv, threads, code, out, stderr):
-    # the id is the command line: the pipe with no reader has no redirection
+    # the id is the command line
     name = f"TVCOUNT_THREADS={threads} {argv}" if threads else argv
-    return pytest.param(argv, threads, code, out, stderr, id=name if stderr == "pipe" else f"{name} {stderr}")
+    return pytest.param(argv, threads, code, out, stderr, id=name + STDERR_IDS[stderr])
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize(
     "argv, threads, code, out, stderr",
-    [closed_stderr_param(*case, stderr) for stderr in ("pipe", "2>/dev/full", "2>&-") for case in CLOSED_STDERR_CASES],
+    [closed_stderr_param(*case, stderr) for stderr in STDERR_IDS for case in CLOSED_STDERR_CASES],
 )
 def test_closed_stderr_costs_neither_stdout_nor_the_exit_code(argv, threads, code, out, stderr, unbuffered):
-    env = cli_env(unbuffered)
-    env.pop("TVCOUNT_THREADS", None)
-    if threads is not None:
-        env["TVCOUNT_THREADS"] = threads
-    proc = run_with_closed_stderr(["-m", "tvcount.cli", *argv.split()], env, stderr)
+    proc = run_python(["-m", "tvcount.cli", *argv.split()], stderr=stderr, unbuffered=unbuffered, threads=threads)
     assert (proc.returncode, proc.stdout) == (code, out)
 
 
@@ -948,7 +903,7 @@ def test_closed_stderr_keeps_the_internal_failure_exit_3(unbuffered):
         "counting.degree_of_power_sum_locus = broken\n"
         "sys.exit(cli.main(['count', '--m', '2', '--n', '3', '--a', '3', '--b', '2']))\n"
     )
-    proc = run_with_closed_stderr(["-c", code], cli_env(unbuffered))
+    proc = run_python(["-c", code], stderr="no reader", unbuffered=unbuffered)
     assert (proc.returncode, proc.stdout) == (3, b"")
 
 
@@ -969,12 +924,7 @@ def test_cli_import_loads_no_heavy_modules():
     # what a count process pays for before it starts: none of these, unless
     # interpreter start-up (site) had loaded them already
     heavy = ("dataclasses", "inspect", "fractions", "decimal", "json", "traceback", "textwrap", "argparse", *ENGINE, *COMMAND_MODULES.values())
-    code = (
-        "import sys; before = set(sys.modules); import tvcount.cli; "
-        f"print([m for m in {heavy!r} if m in set(sys.modules) - before])"
-    )
-    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = run_python(["-c", fresh_main_code(None, f"[m for m in {heavy!r} if m in new]")], text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -996,16 +946,13 @@ def test_cli_import_loads_no_heavy_modules():
     ],
 )
 def test_each_command_loads_only_the_engine_it_runs(argv, loaded):
-    code = (
-        "import sys; from tvcount.cli import main; "
-        f"main({argv.split()!r}); print([m for m in {ENGINE!r} if m in sys.modules]); "
-        "print(sorted(m for m in sys.modules if m.startswith('tvcount.cli.'))); "
-        "print(*sorted(m for m in sys.modules if m.startswith('tvcount')))"
+    code = fresh_main_code(
+        argv.split(),
+        f"[m for m in {ENGINE!r} if m in sys.modules]",
+        "sorted(m for m in sys.modules if m.startswith('tvcount.cli.'))",
+        "*sorted(m for m in sys.modules if m.startswith('tvcount'))",
     )
-    env = {k: v for k, v in os.environ.items() if k != "TVCOUNT_THREADS"}
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": PACKAGE_ROOT}
-    )
+    proc = run_python(["-X", "importtime", "-c", code], text=True)
     assert proc.returncode == 0, proc.stderr
     engines, commands, tvcount_modules = proc.stdout.splitlines()[-3:]
     assert engines == repr(loaded)
@@ -1032,7 +979,6 @@ def test_module_run_executes_each_tvcount_module_once():
     # execute the CLI a second time.  The "exec" audit event fires once for
     # each module body, imported or run
     package = Path(PACKAGE_ROOT) / "tvcount"
-    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
     for argv, out, modules in MODULE_RUNS:
         code = (
             "import collections, json, runpy, sys\n"
@@ -1045,7 +991,7 @@ def test_module_run_executes_each_tvcount_module_once():
             "    print(exc.code)\n"
             "print(json.dumps(runs))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = run_python(["-c", code], text=True)
         assert proc.returncode == 0, proc.stderr
         printed, exit_code, runs = proc.stdout.splitlines()
         assert (printed, exit_code) == (out, "0"), argv
@@ -1074,7 +1020,7 @@ def test_each_command_names_the_module_that_runs_it():
         "    module = importlib.import_module(f'tvcount.cli.{entry[0]}')\n"
         "    print(command, module.__name__, any(map(callable, entry)), callable(getattr(module, 'run', None)))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+    proc = run_python(["-c", code], text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"{command} {module} False True" for command, module in COMMAND_MODULES.items()]
 
@@ -1087,93 +1033,6 @@ def test_console_script_is_main():
 
 
 # -- reading argv ------------------------------------------------------------------
-
-# every argv the tests above pass to main, one per line; the empty argv is
-# added in the test
-TEST_ARGV = """
-count --m 2 --n 3 --a 3 --b 2
-count --d 12 --a 3 --b 2
-count --m 2 --n 3 --a 3 --b 2 --json
-count --m 10 --n 21 --a 21 --b 10 --json
-count --m 1 --n 2 --a 2 --b 1
-count --m 1 --n 2 --a 2 --b 1 --json
-count --m 1 --n 1 --a 2 --b 2
-count --m 1 --n 1 --a 2 --b 2 --json
-count --m 2 --n 2 --a 2 --b 2
-count --m 2 --n 2 --a 2 --b 2 --json
-count --m 4 --n 8 --a 4 --b 2
-count --m 2 --n 3 --a 2 --b 3
-count --d 13 --a 3 --b 2
-count --d 6 --a 0 --b 2
-count --d 6 --a -3 --b 2
-count --d 6 --a 3 --b 0
-count --d 6 --a 3 --b -3
-count --d 0 --a 2 --b 3
-count --d -6 --a 3 --b 2
-count --a 3 --b 2
-count --m 2 --n 3 --d 6 --a 3 --b 2
-count --m 2 --n 3 --a 3
-count --m 511 --n 1023 --a 1023 --b 511
-count --m 511 --n 1023 --a 1023 --b 511 --json
-count --m 540 --n 1081 --a 1081 --b 540
-count --m 540 --n 1081 --a 1081 --b 540 --json
-count --m 2 --n 1000000 --a 500000 --b 1
-count --d 1000000000000 --a 1000000000000 --b 1
-count --m 1000 --n 1001 --a 1001 --b 1000
-count --m 510 --n 1021 --a 1021 --b 510
-count --m 784 --n 862 --a 431 --b 392
-count --m 784 --n 862 --a 431 --b 392 --json
-count --m 818 --n 826 --a 413 --b 409
-count --m 1 --n 499999 --a 499999 --b 1
-count --m 104 --n 209 --a 209 --b 104
-count --m 104 --n 209 --a 209 --b 104 --json
-nonsense
-class --m 1 --n 1
-class --m 2 --n 2 --format latex
-class --m 2 --n 3 --format json
-class --m 3 --n 6
-class --m 3 --n 2
-class --m 5 --n 3
-class --m 1 --n 50000 --format json
-class --m 315 --n 317 --format json
-class --m 600 --n 1201 --format json
-class --m 1000000000 --n 2000000001 --format json
-class --m 1 --n 49999
-transvect --f 1,0,0 --g 0,1
-transvect --f 1,1 --g 1,1
-transvect --f 1,0 --g 0,1
-transvect --f 1/2,0,0 --g 0,1
-transvect --f 1,1,1 --g 1,1 --binomial
-transvect --f 1,0,0 --g 0,1 --json
-transvect --f -1,2 --g 1,1
-transvect --f=-1,2 --g 1,1
-transvect --g -1/2,0 --f -1,0,0 --json
-transvect --f --g 1,1
-transvect --f 1,oops --g 0,1
-transvect --f 1/0 --g 0,1
-transvect --f 1e10000000,1 --g 1,1
-transvect --f -2E-10000000,1 --g 1,1
-transvect --f 1e+1_0000000,1 --g 1,1
-transvect --f 1e4300,0 --g 0,1
-transvect --f 1e4300,0 --g 0,1 --json
-transvect --f 5 --g 0,1
-table --max-d -1
-table --max-d 6
-table --max-d 5 --csv
-table --max-d 4 --csv
-table --max-d 1001 --csv
-table --max-d 27000 --csv
-table --max-d 1000000000000 --csv
-table --max-d 1000 --csv
-table --max-d 120 --csv
-table --max-d 10 --csv
-table --max-d 40 --csv
-table --max-d 6 --csv
-table --max-d 40
-table --max-d 300
-selftest
---help
-"""
 
 # the argv shapes of the benchmark's cli workload, each of which the reader
 # must take
@@ -1280,36 +1139,18 @@ def spoil(rng, options, units) -> bool:
     return True
 
 
-def read_argv(argv):
-    """The parser's namespace for argv; None for help or a usage error."""
-    try:
-        args = cli._read_argv(argv)
-    except cli._UsageError:
-        return None
-    return None if args.help else args
-
-
 def test_reader_agrees_with_argparse():
     # the parser takes exactly the well-formed argv, and for each gives what
-    # argparse, the reference, gives; argparse refuses what it refuses
-    corpus = [(line.split(), None) for line in TEST_ARGV.strip().splitlines()]
-    corpus += [(line.split(), True) for line in BENCH_ARGV.strip().splitlines()]
+    # argparse, the reference, gives; argparse refuses what it refuses.  The
+    # runners check every argv the other tests pass to main the same way
+    corpus = [(line.split(), True) for line in BENCH_ARGV.strip().splitlines()]
     corpus += [(line.split(), False) for line in MALFORMED_ARGV.strip().splitlines()]
     # an empty argv, a repeated option (the last value counts) and separate
     # values that start with "-"
     corpus += [([], False), ("count --m 9 --m 2 --n 3 --a 3 --b 2 --json --json".split(), True)]
     corpus += [("count --m 2 --n 3 --a -3 --b 2".split(), True), ("count --m 2 --n 3 --a -3_000 --b 2".split(), True)]
     corpus += generated_argv(random.Random(17))
-    reference = argparse_reference()
-    read = 0
-    for argv, well_formed in corpus:
-        got, want = read_argv(argv), reference(argv)
-        if well_formed is not None:
-            assert (got is not None) == well_formed, argv
-        assert (got is None) == (want is None), argv
-        if got is not None:
-            assert vars(got) == vars(want), argv
-            read += 1
+    read = sum(check_reader(argv, well_formed) for argv, well_formed in corpus)
     assert len(corpus) > 1500 and read > len(corpus) // 3
 
 
@@ -1327,10 +1168,5 @@ def test_reader_agrees_with_argparse():
 )
 def test_main_imports_no_argparse(argv):
     heavy = ("argparse", "gettext", "locale", "__future__")
-    code = (
-        "import sys; before = set(sys.modules); from tvcount.cli import main; "
-        f"main({argv!r}); print([m for m in {heavy!r} if m in set(sys.modules) - before])"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "TVCOUNT_THREADS"}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": PACKAGE_ROOT})
+    proc = run_python(["-c", fresh_main_code(argv, f"[m for m in {heavy!r} if m in new]")], text=True)
     assert proc.stdout.splitlines()[-1] == "[]"

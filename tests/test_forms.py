@@ -3,15 +3,11 @@ the structural coefficients of the transvectant in the binomial view."""
 
 import hashlib
 import importlib
-import os
 import random
 import re
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -23,6 +19,7 @@ from .helpers import (
     derivative_transvectant,
     far_denominators,
     rand_form,
+    run_python,
     structural_coefficient,
     structural_support,
 )
@@ -424,8 +421,7 @@ del namespace["__builtins__"]
 print(sorted(namespace) == sorted(tvcount.__all__))
 print([n for n, v in namespace.items() if n != "__version__" and v is not getattr(sys.modules[v.__module__], n)])
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(tvcount.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = run_python(["-c", code], text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True True", "[]", "True", "[]"]
 
